@@ -32,20 +32,8 @@ from .graphgen import (
     partition_random,
     save_graph,
 )
-from .optimizer import (
-    MODE_PASSES,
-    aggregation_pushdown,
-    apply_refinement,
-    initial_plan,
-    merge_plan,
-    refine_communication,
-    register_caches,
-    rewrite_local,
-    rewrite_remote,
-    synthesize_caches,
-    validate_options,
-)
-from .runtime import execute
+from .optimizer import MODE_PASSES, default_pipeline, validate_options
+from .runtime import Engine
 from .workloads import (
     Workload,
     build_economics,
@@ -204,71 +192,32 @@ def build_partitions_for(config: RunConfig, wl: Workload):
     return partition_greedy(wl.graph, target, config.seed)
 
 
-def optimize_timed(config: RunConfig, wl: Workload, parts) -> tuple[list, dict[str, float]]:
-    """Run the enabled passes in default order, timing each."""
-    options = MODE_PASSES[config.mode]
-    times: dict[str, float] = {}
-    plans = [initial_plan(p, wl.equations) for p in parts]
-
-    t0 = time.perf_counter()
-    refined = {p.id: refine_communication(p, wl.equations, wl.static_marks) for p in parts}
-    plans = [apply_refinement(pl, refined[pl.partition.id]) for pl in plans]
-    times["refine"] = (time.perf_counter() - t0) * 1000.0
-
-    if "pushdown" in options:
-        t0 = time.perf_counter()
-        for target in wl.pushdown_targets:
-            plans = aggregation_pushdown(plans, target, wl.contracts)
-        times["pushdown"] = (time.perf_counter() - t0) * 1000.0
-    if "cache" in options:
-        t0 = time.perf_counter()
-        refined_now = {
-            p.partition.id: {a: ap.refined for a, ap in p.per_agent.items()}
-            for p in plans
-        }
-        caches = synthesize_caches(refined_now)
-        plans = [register_caches(pl, caches) for pl in plans]
-        times["cache"] = (time.perf_counter() - t0) * 1000.0
-    if "remote" in options:
-        t0 = time.perf_counter()
-        plans = [rewrite_remote(pl) for pl in plans]
-        times["remote"] = (time.perf_counter() - t0) * 1000.0
-    if "local" in options:
-        t0 = time.perf_counter()
-        plans = [rewrite_local(pl) for pl in plans]
-        times["local"] = (time.perf_counter() - t0) * 1000.0
-    if "merge" in options:
-        t0 = time.perf_counter()
-        plans = [merge_plan(pl) for pl in plans]
-        times["merge"] = (time.perf_counter() - t0) * 1000.0
-    return plans, times
-
-
 def run(config: RunConfig) -> MetricsRow:
-    """Graph build -> partition -> optimize -> repeated timed execution."""
+    """Graph build -> partition -> optimize -> compile -> repeated timed execution."""
     config.validate()
     wl, graph_ms = build_workload(config)
     parts = build_partitions_for(config, wl)
-    plans, opt_times = optimize_timed(config, wl, parts)
+    opt_times: dict[str, float] = {}
+
+    def record(name: str, seconds: float) -> None:
+        opt_times[name] = seconds * 1000.0
+
+    plans = default_pipeline(parts, wl.equations, wl.static_marks, MODE_PASSES[config.mode],
+                             wl.contracts, wl.pushdown_targets, record)
+    engine = Engine(wl, plans)
     rounds = config.resolved_rounds()
 
-    checksum = ""
+    per_rep = []
+    for _ in range(max(1, config.repetitions)):
+        state, metrics = engine.run(rounds, threads=config.threads, seed=config.seed)
+        per_rep.append(metrics.mean_wall_seconds_per_round)
     mean_ms: float | None = None
     logical = wire = header = 0.0
-    if rounds == 0:
-        state, _ = execute(wl, plans, rounds=0, threads=config.threads, seed=config.seed)
-        checksum = state_checksum(wl, state.agent_values)
-    else:
-        per_rep = []
-        for _ in range(max(1, config.repetitions)):
-            state, metrics = execute(wl, plans, rounds=rounds,
-                                     threads=config.threads, seed=config.seed)
-            per_rep.append(metrics.mean_wall_seconds_per_round)
-            checksum = state_checksum(wl, state.agent_values)
-            logical = sum(metrics.logical_messages_per_round) / rounds
-            wire = sum(metrics.wire_units_per_round) / rounds
-            header = sum(metrics.header_units_per_round) / rounds
+    if rounds:
         mean_ms = 1000.0 * sum(per_rep) / len(per_rep)
+        logical = sum(metrics.logical_messages_per_round) / rounds
+        wire = sum(metrics.wire_units_per_round) / rounds
+        header = sum(metrics.header_units_per_round) / rounds
     return MetricsRow(
         config=config,
         mean_time_per_round_ms=mean_ms,
@@ -278,7 +227,7 @@ def run(config: RunConfig) -> MetricsRow:
         header_units_per_round=header,
         optimizer_ms=opt_times,
         graph_build_ms=graph_ms,
-        checksum=checksum,
+        checksum=state_checksum(wl, state.agent_values),
     )
 
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Literal
 
-from .errors import ContractError, DanglingReferenceError, PlacementError
+from .errors import ContractError, PlacementError
 
 PartitionId = int
 
@@ -203,14 +203,3 @@ def to_computation_tree(
         leaves.append(TreeLeaf(ref, accessor, where))
     return ComputationTree(result=eq.rhs, op=eq.compute, leaves=tuple(leaves), partition=home)
 
-
-def check_references(
-    equations: dict[int, BehavioralEquation], agent_ids: Iterable[int]
-) -> None:
-    known = set(agent_ids)
-    for agent, eq in equations.items():
-        for ref in eq.reference_set:
-            if ref.agent_id not in known:
-                raise DanglingReferenceError(
-                    f"agent {agent} references missing agent {ref.agent_id}"
-                )

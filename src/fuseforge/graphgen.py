@@ -154,11 +154,10 @@ def load_graph(path: str) -> Graph:
 
 @dataclass(frozen=True)
 class Partition:
-    """A set of agents with induced topology and explicit cross edges."""
+    """A set of agents with explicit cross edges."""
 
     id: int
     member_ids: tuple[int, ...]  # sorted
-    internal_adjacency: dict[int, tuple[int, ...]]
     cross_edges: tuple[tuple[int, int, int], ...]  # (local, remote, remote partition)
 
     @property
@@ -174,14 +173,12 @@ def build_partitions(graph: Graph, assignment: list[int], count: int) -> list[Pa
     parts = []
     for pid in range(count):
         mine = sorted(members[pid])
-        internal = {}
         cross = []
         for u in mine:
-            internal[u] = tuple(v for v in graph.adjacency[u] if assignment[v] == pid)
             for v in graph.adjacency[u]:
                 if assignment[v] != pid:
                     cross.append((u, v, assignment[v]))
-        parts.append(Partition(pid, tuple(mine), internal, tuple(sorted(cross))))
+        parts.append(Partition(pid, tuple(mine), tuple(sorted(cross))))
     return parts
 
 

@@ -3,14 +3,16 @@
 Stages, in default order: refine communication (classify each reference as
 local/remote and static/dynamic), synthesize per-directed-partition-pair
 message caches, rewrite remote reads into cache lookups, rewrite local reads
-into double-buffered direct reads, merge members into one schedulable unit,
+into direct reads of the previous round's messages, merge members into one schedulable unit,
 and aggregation pushdown for assoc+comm targets.  Every pass is a pure
 function plan -> plan, so ablation subsets run as first-class modes.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from .equations import (
     BehavioralEquation,
@@ -49,23 +51,13 @@ class RefinedNeighbors:
 @dataclass(frozen=True)
 class MessageCache:
     """Id-ordered slot buffer standing in for one partition's boundary agents
-    as read by one other partition.
-
-    ``slots`` is the placeholder buffer (one entry per schema member); the
-    executor double-buffers its own copies of it.
-    """
+    as read by one other partition; the executor lays the slots out in its
+    message buffer."""
 
     source_partition: int
     dest_partition: int
     schema: tuple[StateRef, ...]  # sorted ascending by agent id
     offset_of: dict[StateRef, int] = field(compare=False)
-    slots: list = field(compare=False, default_factory=list)
-
-    def __post_init__(self):
-        if not self.slots:
-            self.slots.extend([None] * len(self.schema))
-        if len(self.slots) != len(self.schema):
-            raise PipelineOrderError("cache slot buffer must match its schema")
 
     @property
     def key(self) -> tuple[int, int]:
@@ -92,8 +84,9 @@ class CacheRead:
 
 @dataclass(frozen=True)
 class LocalRead:
+    """Read of a same-partition agent's previous-round message."""
+
     target: StateRef
-    buffer: str = "previous"  # "previous" only under double buffering
 
 
 @dataclass(frozen=True)
@@ -126,7 +119,7 @@ class Aggregator:
     def staged(self) -> PartialFold:
         """The aggregation as a staged expression over sender reads."""
         return PartialFold(
-            tuple(LocalRead(StateRef(s), "previous") for s in self.senders),
+            tuple(LocalRead(StateRef(s)) for s in self.senders),
             self.ref.fold_op,
         )
 
@@ -188,7 +181,6 @@ class PartitionPlan:
     inbound_aggregates: dict[int, tuple[DynamicStateRef, ...]] = field(default_factory=dict, compare=False)
     merged_order: tuple[int, ...] | None = None
     merged_forest: MergedForest | None = None
-    double_buffered: bool = False
 
     @property
     def agent_ids(self) -> tuple[int, ...]:
@@ -205,7 +197,6 @@ class PartitionPlan:
             self.aggregators,
             tuple(sorted((k, tuple(sorted(v))) for k, v in self.pushdown_replaced.items())),
             self.merged_order,
-            self.double_buffered,
         )
 
 
@@ -307,17 +298,16 @@ def rewrite_remote(plan: PartitionPlan) -> PartitionPlan:
 
 
 def rewrite_local(plan: PartitionPlan) -> PartitionPlan:
-    """Turn static local references into double-buffered direct reads; no
-    mailbox messages are materialized for them."""
+    """Turn static local references into direct reads of the previous
+    round's messages; no mailbox messages are materialized for them."""
     per_agent = {}
     for agent, ap in plan.per_agent.items():
         if ap.refined is None:
             raise PipelineOrderError("rewrite_local requires refine_communication first")
         reads = [e for e in ap.staged if not isinstance(e, LocalRead)]
-        reads.extend(LocalRead(ref, "previous") for ref in ap.refined.local_static)
+        reads.extend(LocalRead(ref) for ref in ap.refined.local_static)
         per_agent[agent] = replace(ap, staged=_sort_reads(reads))
-    return replace(plan, per_agent=per_agent, double_buffered=True,
-                   passes=plan.passes | {"local"})
+    return replace(plan, per_agent=per_agent, passes=plan.passes | {"local"})
 
 
 def _read_source(e) -> int:
@@ -463,36 +453,55 @@ def default_pipeline(
     options: frozenset[str] = MODE_PASSES["full"],
     contracts: dict[str, ComputeMethodContract] | None = None,
     pushdown_targets: tuple[int, ...] = (),
+    on_pass: Callable[[str, float], None] | None = None,
 ) -> list[PartitionPlan]:
     """Apply the enabled passes in default order across all partitions.
 
     Cache synthesis is the single global barrier: it needs every partition's
-    refined map; all other passes run per partition.
+    refined map; all other passes run per partition.  ``on_pass``, when
+    given, receives each pass name and the seconds that pass took.
     """
     validate_options(options)
     plans = [initial_plan(part, eqs) for part in partitions]
+
+    def done(name: str, t0: float) -> None:
+        if on_pass is not None:
+            on_pass(name, time.perf_counter() - t0)
+
+    t0 = time.perf_counter()
     refined_by_pid = {
         part.id: refine_communication(part, eqs, static_marks) for part in partitions
     }
     plans = [apply_refinement(p, refined_by_pid[p.partition.id]) for p in plans]
+    done("refine", t0)
     if "pushdown" in options:
         # replacement analysis runs before cache synthesis so replaced senders
         # never become cached remote references of the target
+        t0 = time.perf_counter()
         if contracts is None:
             raise PipelineOrderError("pushdown needs the contract registry")
         for target in pushdown_targets:
             plans = aggregation_pushdown(plans, target, contracts)
+        done("pushdown", t0)
     if "cache" in options:
+        t0 = time.perf_counter()
         refined_now = {
             p.partition.id: {a: ap.refined for a, ap in p.per_agent.items()}
             for p in plans
         }
         caches = synthesize_caches(refined_now)
         plans = [register_caches(p, caches) for p in plans]
+        done("cache", t0)
     if "remote" in options:
+        t0 = time.perf_counter()
         plans = [rewrite_remote(p) for p in plans]
+        done("remote", t0)
     if "local" in options:
+        t0 = time.perf_counter()
         plans = [rewrite_local(p) for p in plans]
+        done("local", t0)
     if "merge" in options:
+        t0 = time.perf_counter()
         plans = [merge_plan(p) for p in plans]
+        done("merge", t0)
     return plans

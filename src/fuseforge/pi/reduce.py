@@ -235,7 +235,8 @@ def reduce_all(
     Returns every irreducible state reached within the bound and flags
     non-termination when the frontier is still nonempty at the bound.
     Exceeding ``max_states`` distinct states raises ResourceLimitError
-    carrying the partial result.
+    carrying the partial result; successors are expanded in canonical-key
+    order, so the partial result does not depend on the hash seed.
     """
 
     def key_of(s: ReductionState) -> tuple[str, tuple]:
@@ -260,10 +261,15 @@ def reduce_all(
             if not successors:
                 irreducible.setdefault(key_of(s), s)
                 continue
+            canons = []
             for succ in successors:
                 canon = succ.with_process(normalize(succ.process), succ.env())
                 canon = replace(canon, step_count=succ.step_count)
-                k = key_of(canon)
+                canons.append((key_of(canon), canon))
+            # expand in a fixed order, so a search cut off by max_states
+            # explores the same states whatever the set's iteration order
+            canons.sort(key=lambda kc: (kc[0][0], repr(kc[0][1])))
+            for k, canon in canons:
                 if k in visited:
                     continue
                 visited.add(k)

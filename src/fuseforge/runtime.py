@@ -1,15 +1,22 @@
 """BSP executor: superstep loop, mailbox delivery, partition workers.
 
 Execution follows the synchronous BSP contract: messages sent in superstep t
-are readable only in t+1; cache banks and value buffers flip at the barrier.
-Mailboxes are pre-seeded with each agent's initial-value message, so staged
-reads at superstep 0 (which see initial values) match message-passing mode
-exactly.
+are readable only in t+1.  Every agent's out-message of the previous round
+lives in one flat message buffer: entries 0..n-1 hold each agent's message,
+and the slots of every partition-pair message cache follow them.  A staged
+read (local read, cache read, or a cache slot the receiver reads without the
+remote pass) is an index into that buffer, and an agent's inputs are one
+gather over its indices plus its mailbox.  Agents write the next round's
+buffer, which swaps with the previous one at the barrier; agent values are
+updated in place, since no agent reads another's value directly.  The
+buffer and the mailboxes are seeded with each agent's initial-value
+message, so staged reads at superstep 0 match message-passing mode exactly.
 
-Determinism: per-agent ordering of consumed messages is fixed ascending by
-sender id, per-agent RNG streams live inside agent values, and worker-local
-outboxes are merged at the barrier in partition order, so the final state is
-bit-identical for any thread count and any merged-order permutation.
+Determinism: order-sensitive contracts consume their inputs in ascending
+sender order, per-agent RNG streams live inside agent values, and
+worker-local cross-partition outboxes are merged at the barrier in partition
+order, so the final state is bit-identical for any thread count and any
+merged-order permutation.
 """
 
 from __future__ import annotations
@@ -17,10 +24,13 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .equations import ComputeMethodContract, check_tag, identity
 from .errors import ContractError, CoverageError
-from .optimizer import CacheRead, LocalRead, PartitionPlan
+from .optimizer import CacheRead, LocalRead, PartitionPlan, RefinedNeighbors
+
+_sender = itemgetter(0)
 
 
 @dataclass
@@ -51,7 +61,6 @@ def wire_message_count(metrics: Metrics) -> tuple[list[int], list[int]]:
 class SimulationState:
     superstep: int
     agent_values: dict[int, object]
-    previous_values: dict[int, object] | None
 
 
 def deliver(
@@ -76,7 +85,7 @@ def deliver(
 
 
 class Engine:
-    """Compiled program: plans resolved into flat per-agent routing tables."""
+    """Compiled program: plans resolved into flat per-agent index tables."""
 
     def __init__(self, workload, plans: list[PartitionPlan], track_inbound: tuple[int, ...] = ()):
         self.workload = workload
@@ -96,126 +105,64 @@ class Engine:
             raise CoverageError(f"agents not covered by any plan: {missing[:10]}")
         self.partition_of = [covered[a] for a in range(n)]
 
+        # message buffer layout: agents 0..n-1, then each cache's slots in key
+        # order; source_of maps every buffer index to the agent that writes it
+        caches = {key: c for plan in plans for key, c in plan.outbound_caches.items()}
+        self.cache_count = len(caches)
+        self.source_of = list(range(n))
+        base: dict[tuple[int, int], int] = {}
+        for key in sorted(caches):
+            base[key] = len(self.source_of)
+            self.source_of.extend(ref.agent_id for ref in caches[key].schema)
+        publish: list[list[int]] = [[a] for a in range(n)]
+        for i in range(n, len(self.source_of)):
+            publish[self.source_of[i]].append(i)
+        self.publish = [tuple(p) for p in publish]
+
+        # per reader: buffer indices sorted by source, and the senders that
+        # reach it by mailbox (whatever no staged read or cache slot covers,
+        # minus senders folded by an aggregator)
         self.contract_of: list[ComputeMethodContract] = [None] * n  # type: ignore
-        marks = workload.static_marks
+        self.reads: list[tuple[int, ...]] = [()] * n
+        self.local_to: list[list[int]] = [[] for _ in range(n)]
+        self.cross_to: list[list[int]] = [[] for _ in range(n)]
         for plan in plans:
+            pid = plan.partition.id
             for a, ap in plan.per_agent.items():
                 self.contract_of[a] = workload.contracts[ap.equation.compute]
-
-        # pushdown-replaced (target -> senders whose direct sends are folded)
-        replaced_pairs: set[tuple[int, int]] = set()
-        for plan in plans:
-            for target, senders in plan.pushdown_replaced.items():
-                replaced_pairs.update((s, target) for s in senders)
-
-        passes = plans[0].passes if plans else frozenset()
-        self.passes = passes
-        use_cache = "cache" in passes
-        local_staged = "local" in passes
-        remote_staged = "remote" in passes
-        merged_uncached = "merge" in passes and not use_cache
-
-        # reverse reference map: sender -> readers
-        readers_of: list[list[int]] = [[] for _ in range(n)]
-        for plan in plans:
-            for a, ap in plan.per_agent.items():
-                for ref in ap.equation.reference_set:
-                    readers_of[ref.agent_id].append(a)
-
-        # per-agent emit routing
-        self.local_deliver: list[list[int]] = [[] for _ in range(n)]
-        self.cross_deliver: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (dst pid, reader)
-        self.cross_header = merged_uncached
-        for sender in range(n):
-            spid = self.partition_of[sender]
-            for reader in sorted(readers_of[sender]):
-                static = any(
-                    ref.agent_id == sender for ref in marks.get(reader, ())
-                )
-                rpid = self.partition_of[reader]
-                if (sender, reader) in replaced_pairs:
-                    continue  # aggregator ships the folded value instead
-                if rpid == spid:
-                    if local_staged and static:
-                        continue  # reader uses a direct buffered read
-                    self.local_deliver[sender].append(reader)
-                else:
-                    if use_cache and static:
-                        continue  # value travels in the partition-pair cache
-                    self.cross_deliver[sender].append((rpid, reader))
-
-        # caches: stable read/write bank objects; the barrier copies write
-        # into read so compiled reads can bind the read-bank list directly
-        self.read_banks: dict[tuple[int, int], list] = {}
-        self.write_banks: dict[tuple[int, int], list] = {}
-        self.cache_writes: list[list[tuple[list, int]]] = [[] for _ in range(n)]
-        self.remat: dict[int, list[tuple[tuple[int, int], int, int, list[int]]]] = {}
-        if use_cache:
-            for plan in plans:
-                for key, cache in plan.outbound_caches.items():
-                    if key not in self.read_banks:
-                        self.read_banks[key] = [None] * len(cache)
-                        self.write_banks[key] = [None] * len(cache)
-                    wb = self.write_banks[key]
-                    for ref, off in cache.offset_of.items():
-                        self.cache_writes[ref.agent_id].append((wb, off))
-            if not remote_staged:
-                # receiver side rematerializes cache slots into messages
-                for plan in plans:
-                    pid = plan.partition.id
-                    entries = []
-                    for key, cache in plan.inbound_caches.items():
-                        slot_readers: dict[int, list[int]] = {}
-                        for a, ap in plan.per_agent.items():
-                            for ref, src_pid in (ap.refined.remote_static if ap.refined else ()):
-                                if (src_pid, pid) == key:
-                                    slot_readers.setdefault(cache.offset_of[ref], []).append(a)
-                        for off in sorted(slot_readers):
-                            src_agent = cache.schema[off].agent_id
-                            entries.append((key, off, src_agent, sorted(slot_readers[off])))
-                    self.remat[pid] = entries
-
-        # staged reads compiled per agent, sorted ascending by source.
-        # Commutative contracts use the split fast form (locals, cache slots);
-        # order-sensitive contracts use one interleaved list.
-        self.fast_reads: list[tuple | None] = [None] * n
-        self.ordered_reads: list[list[tuple]] = [[] for _ in range(n)]
-        for plan in plans:
-            for a, ap in plan.per_agent.items():
-                if not ap.staged:
-                    continue
-                contract = self.contract_of[a]
-                entries = []
+                rn = ap.refined or RefinedNeighbors((), (), ap.equation.reference_set)
+                gather: list[tuple[int, int]] = []  # (source, buffer index)
                 for e in ap.staged:
                     if isinstance(e, LocalRead):
-                        src = e.target.agent_id
-                        entries.append((src, 0, src))
+                        gather.append((e.target.agent_id, e.target.agent_id))
                     elif isinstance(e, CacheRead):
-                        entries.append((e.source_agent, 1, (self.read_banks[e.cache], e.offset)))
-                entries.sort(key=lambda t: t[0])
-                if contract.pushdown_eligible:
-                    locals_ = tuple(src for (src, kind, _) in entries if kind == 0)
-                    slots = tuple(detail for (_, kind, detail) in entries if kind == 1)
-                    self.fast_reads[a] = (locals_, slots)
-                else:
-                    self.ordered_reads[a] = entries
+                        gather.append((e.source_agent, base[e.cache] + e.offset))
+                staged = {src for src, _ in gather}
+                mail = [r.agent_id for r in rn.local_static if r.agent_id not in staged]
+                for ref, src_pid in rn.remote_static:
+                    if ref.agent_id in staged:
+                        continue
+                    key = (src_pid, pid)
+                    if key in base:  # cached but not rewritten: read the slot
+                        gather.append((ref.agent_id, base[key] + caches[key].offset_of[ref]))
+                    else:
+                        mail.append(ref.agent_id)
+                replaced = plan.pushdown_replaced.get(a, ())
+                mail.extend(r.agent_id for r in rn.dynamic if r.agent_id not in replaced)
+                gather.sort()
+                self.reads[a] = tuple(i for _, i in gather)
+                for s in mail:
+                    (self.local_to if self.partition_of[s] == pid else self.cross_to)[s].append(a)
 
-        self.aggregators = []
-        for plan in plans:
-            for agg in plan.aggregators:
-                self.aggregators.append(agg)
-
+        self.aggregators = [agg for plan in plans for agg in plan.aggregators]
         self.exec_order: list[list[int]] = []
         for plan in plans:
             order = plan.merged_order if plan.merged_order is not None else plan.agent_ids
             self.exec_order.append(list(order))
 
-        self.double_buffered = any(p.double_buffered for p in plans)
-        self.any_mail_routes = (
-            any(self.local_deliver)
-            or any(self.cross_deliver)
-            or bool(self.aggregators)
-        )
+        # merged but uncached partitions tag each cross message with a header
+        passes = plans[0].passes if plans else frozenset()
+        self.cross_header = "merge" in passes and "cache" not in passes
 
     # -- execution ------------------------------------------------------------
 
@@ -228,37 +175,31 @@ class Engine:
             metrics.inbound_total_by_agent[a] = []
 
         values: list = [wl.initial_values[a] for a in range(n)]
-        values_next: list = list(values) if self.double_buffered else values
+        # superstep-0 seeding: initial-value sends arrive at round 0
+        prev: list = [None] * len(self.source_of)
+        nxt: list = [None] * len(self.source_of)
         mailbox: list[list] = [[] for _ in range(n)]
-
-        contract_of = self.contract_of
-        to_msg = [c.state_to_message for c in contract_of]
-
-        # superstep-0 seeding: initial-value sends arrive at round 0.
-        # outs_prev holds every agent's message from the end of the previous
-        # round; buffered local reads index it directly (the sender generates
-        # one message per round, local readers look it up).
-        outs_prev: list = [to_msg[a](values[a]) for a in range(n)]
-        outs: list = [None] * n
-        self._route(outs_prev, mailbox)
-        for key, bank in self.read_banks.items():
-            src_plan = next(p for p in self.plans if p.partition.id == key[0])
-            cache = src_plan.outbound_caches[key]
-            bank[:] = [outs_prev[ref.agent_id] for ref in cache.schema]
+        for a in range(n):
+            out = self.contract_of[a].state_to_message(values[a])
+            for i in self.publish[a]:
+                prev[i] = out
+            if out is not None:
+                for r in self.local_to[a] + self.cross_to[a]:
+                    mailbox[r].append((a, out))
+        self._fold_aggregates(prev, mailbox)
+        # consumers empty their mailbox lists, so the two sets alternate
+        mail_next: list[list] = [[] for _ in range(n)]
 
         pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
         try:
-            empty_mailbox: list[list] = [[] for _ in range(n)]
             for _ in range(rounds):
                 t0 = time.perf_counter()
-                # with every route compiled away, no mailbox is ever touched
-                mail_next = [[] for _ in range(n)] if self.any_mail_routes else empty_mailbox
-                shards = [{} for _ in self.plans]  # per worker: dst pid -> [(reader, sender, payload)]
-                counters = [[0, 0, 0] for _ in self.plans]  # logical, wire, header
+                shards = [[] for _ in self.plans]  # per worker: (reader, sender, payload)
+                counters = [[0, 0] for _ in self.plans]  # logical, cross-partition
 
                 def work(idx: int) -> None:
-                    self._run_partition(idx, values, values_next, mailbox, mail_next,
-                                        shards[idx], counters[idx], outs, outs_prev)
+                    self._run_partition(idx, values, prev, nxt, mailbox, mail_next,
+                                        shards[idx], counters[idx])
 
                 if pool is None:
                     for i in range(len(self.plans)):
@@ -267,72 +208,41 @@ class Engine:
                     list(pool.map(work, range(len(self.plans))))
 
                 # barrier: merge cross-partition shards in partition order
-                track_wire = {a: 0 for a in self.track_inbound}
                 for shard in shards:
-                    for dst_pid in sorted(shard):
-                        for reader, sender, payload in shard[dst_pid]:
-                            mail_next[reader].append((sender, payload))
-                            if reader in track_wire:
-                                track_wire[reader] += 1
-                # aggregation pushdown ships one folded value per aggregator
-                wire_extra = 0
-                for agg in self.aggregators:
-                    target = agg.target_agent
-                    c = contract_of[target]
-                    batch = [c.deserialize(outs[s]) for s in agg.senders if outs[s] is not None]
-                    partial = c.partial_compute(batch) if batch else None
-                    if partial is not None:
-                        mail_next[target].append((agg.ref.synthetic_id, partial))
-                        wire_extra += 1
-                        if target in track_wire:
-                            track_wire[target] += 1
+                    for reader, sender, payload in shard:
+                        mail_next[reader].append((sender, payload))
+                folded = self._fold_aggregates(nxt, mail_next)
 
                 # one wire unit per directed cache per round, plus one per
                 # dynamic/aggregated cross-partition message
-                logical = sum(c[0] for c in counters) + wire_extra
-                wire = sum(c[1] for c in counters) + wire_extra + len(self.read_banks)
-                header = sum(c[2] for c in counters)
+                cross = sum(c[1] for c in counters)
+                logical = sum(c[0] for c in counters) + folded
+                wire = cross + folded + self.cache_count
+                header = cross if self.cross_header else 0
 
-                # flip buffers (every slot/value is rewritten each round, so
-                # the write bank and stale value array can be reused)
-                mailbox = mail_next
-                for key, bank in self.read_banks.items():
-                    bank[:] = self.write_banks[key]
-                if self.double_buffered:
-                    values, values_next = values_next, values
-                outs_prev, outs = outs, outs_prev
+                mailbox, mail_next = mail_next, mailbox
+                prev, nxt = nxt, prev
 
                 metrics.wall_seconds_per_round.append(time.perf_counter() - t0)
                 metrics.logical_messages_per_round.append(logical)
                 metrics.wire_units_per_round.append(wire)
                 metrics.header_units_per_round.append(header)
                 for a in self.track_inbound:
-                    metrics.inbound_wire_by_agent[a].append(track_wire[a])
+                    home = self.partition_of[a]
+                    metrics.inbound_wire_by_agent[a].append(sum(
+                        1 for s, _ in mailbox[a] if s < 0 or self.partition_of[s] != home))
                     metrics.inbound_total_by_agent[a].append(len(mailbox[a]))
         finally:
             if pool is not None:
                 pool.shutdown()
 
-        previous = None
-        if self.double_buffered:
-            previous = {a: values_next[a] for a in range(n)}
-        state = SimulationState(
-            superstep=rounds,
-            agent_values={a: values[a] for a in range(n)},
-            previous_values=previous,
-        )
+        state = SimulationState(superstep=rounds, agent_values={a: values[a] for a in range(n)})
         return state, metrics
 
-    def _route(self, outs, mailbox) -> None:
-        """Deliver every agent's current out-message (used for seeding)."""
-        for sender in range(self.n):
-            payload = outs[sender]
-            if payload is None:
-                continue
-            for reader in self.local_deliver[sender]:
-                mailbox[reader].append((sender, payload))
-            for _, reader in self.cross_deliver[sender]:
-                mailbox[reader].append((sender, payload))
+    def _fold_aggregates(self, outs: list, mailbox: list[list]) -> int:
+        """Ship each aggregator's fold of its senders' messages in ``outs`` to
+        its target's mailbox; returns the number of partials shipped."""
+        shipped = 0
         for agg in self.aggregators:
             target = agg.target_agent
             c = self.contract_of[target]
@@ -340,108 +250,67 @@ class Engine:
             partial = c.partial_compute(batch) if batch else None
             if partial is not None:
                 mailbox[target].append((agg.ref.synthetic_id, partial))
+                shipped += 1
+        return shipped
 
-    def _run_partition(self, idx, values, values_next, mailbox, mail_next,
-                       shard, counter, outs, outs_prev) -> None:
-        plan = self.plans[idx]
-        pid = plan.partition.id
+    def _run_partition(self, idx, values, prev, nxt, mailbox, mail_next, shard, counter) -> None:
         contract_of = self.contract_of
-        fast_reads = self.fast_reads
-        ordered_reads = self.ordered_reads
-        cache_writes = self.cache_writes
-        local_deliver = self.local_deliver
-        cross_deliver = self.cross_deliver
-        in_place = not self.double_buffered
-
-        # rematerialize inbound cache slots into message batches
-        remat_msgs: dict[int, list] = {}
-        for key, off, src_agent, readers_list in self.remat.get(pid, ()):
-            payload = self.read_banks[key][off]
-            if payload is None:
-                continue
-            for r in readers_list:
-                remat_msgs.setdefault(r, []).append((src_agent, payload))
+        reads = self.reads
+        source_of = self.source_of
+        publish = self.publish
+        local_to = self.local_to
+        cross_to = self.cross_to
+        logical = crossed = 0
 
         for agent in self.exec_order[idx]:
             c = contract_of[agent]
             deser = c.deserialize
-            skip_deser = deser is identity
+            indices = reads[agent]
+            msgs = [prev[i] for i in indices]
             inbox = mailbox[agent]
-            extra = remat_msgs.get(agent)
-            if extra:
-                inbox = inbox + extra
-
-            fast = fast_reads[agent]
-            if fast is not None:
-                # commutative fold: consumption order is free
-                locals_, slots = fast
-                msgs = [outs_prev[src] for src in locals_]
-                if None in msgs:
-                    msgs = [m for m in msgs if m is not None]
-                if not skip_deser:
-                    msgs = [deser(m) for m in msgs]
-                for bank, off in slots:
-                    payload = bank[off]
-                    if payload is not None:
-                        msgs.append(payload if skip_deser else deser(payload))
-                if inbox:
-                    if skip_deser:
-                        msgs.extend(p for _, p in inbox)
-                    else:
-                        msgs.extend(p if s < 0 else deser(p) for s, p in inbox)
-            else:
-                staged = ordered_reads[agent]
-                if staged:
-                    pairs = [(s, p if (s < 0 or skip_deser) else deser(p)) for s, p in inbox]
-                    for src, kind, detail in staged:
-                        if kind == 0:
-                            payload = outs_prev[src]
-                        else:
-                            payload = detail[0][detail[1]]
-                        if payload is not None:
-                            pairs.append((src, payload if skip_deser else deser(payload)))
-                    pairs.sort(key=lambda sp: sp[0])
-                    msgs = [p for _, p in pairs]
-                elif inbox:
-                    if c.pushdown_eligible:
-                        msgs = [p for _, p in inbox] if skip_deser else [
-                            p if s < 0 else deser(p) for s, p in inbox
-                        ]
-                    else:
-                        inbox.sort(key=lambda sp: sp[0])
-                        msgs = [p if (s < 0 or skip_deser) else deser(p) for s, p in inbox]
+            if inbox and not c.pushdown_eligible:
+                # order-sensitive fold: merge the reads into the mailbox by
+                # sender (such contracts never receive aggregated partials)
+                if indices:
+                    inbox.extend([(source_of[i], m) for i, m in zip(indices, msgs)
+                                  if m is not None])
+                inbox.sort(key=_sender)
+                msgs = [p for _, p in inbox]
+                inbox.clear()
+            elif None in msgs:
+                msgs = [m for m in msgs if m is not None]
+            if deser is not identity:
+                msgs = [deser(m) for m in msgs]
+            if inbox:
+                # commutative fold: mail is consumed in arrival order
+                if deser is identity:
+                    msgs.extend([p for _, p in inbox])
                 else:
-                    msgs = []
+                    msgs.extend([p if s < 0 else deser(p) for s, p in inbox])
+                inbox.clear()
 
             folded = c.partial_compute(msgs) if msgs else None
             new_value = c.update_state(values[agent], folded)
-            if in_place:
-                values[agent] = new_value
-            else:
-                values_next[agent] = new_value
+            values[agent] = new_value
 
             out = c.state_to_message(new_value)
-            outs[agent] = out
-            for bank, off in cache_writes[agent]:
-                bank[off] = out
+            for i in publish[agent]:
+                nxt[i] = out
             if out is not None:
-                locals_d = local_deliver[agent]
-                if locals_d:
-                    counter[0] += len(locals_d)
+                local = local_to[agent]
+                if local:
+                    logical += len(local)
                     item = (agent, out)
-                    for r in locals_d:
+                    for r in local:
                         mail_next[r].append(item)
-                cross = cross_deliver[agent]
+                cross = cross_to[agent]
                 if cross:
-                    counter[0] += len(cross)
-                    counter[1] += len(cross)
-                    if self.cross_header:
-                        counter[2] += len(cross)
-                    for dst_pid, r in cross:
-                        bucket = shard.get(dst_pid)
-                        if bucket is None:
-                            bucket = shard[dst_pid] = []
-                        bucket.append((r, agent, out))
+                    logical += len(cross)
+                    crossed += len(cross)
+                    for r in cross:
+                        shard.append((r, agent, out))
+        counter[0] = logical
+        counter[1] = crossed
 
 
 def execute(

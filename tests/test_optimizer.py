@@ -182,10 +182,10 @@ def test_rewrite_remote_covers_every_static_remote():
 def test_rewrite_local_fig3():
     plans = _refined_plans()
     plan0 = rewrite_local(plans[0])
-    assert plan0.double_buffered
+    assert "local" in plan0.passes
     staged = plan0.per_agent[0].staged
     local_reads = [e for e in staged if isinstance(e, LocalRead)]
-    assert local_reads == [LocalRead(StateRef(1), "previous")]
+    assert local_reads == [LocalRead(StateRef(1))]
     # agent 1 has no local static refs: unchanged program, plan-wide flag set
     assert all(not isinstance(e, LocalRead) for e in plan0.per_agent[1].staged)
 

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import fuseforge
 from fuseforge.equations import BehavioralEquation, StateRef
 from fuseforge.errors import OracleConfigError, ReductionError, ResourceLimitError
 from fuseforge.pi import (
@@ -209,6 +214,49 @@ def test_naive_recursive_composition_never_terminates():
     except ResourceLimitError as exc:
         result = exc.partial
     assert result.non_terminating
+
+
+def sprime_state() -> ReductionState:
+    """Criterion 2's S': the two-core exchange composed recursively without
+    yield/resume, whose reduction never terminates."""
+    p1, p2 = StateRef(1), StateRef(2)
+    name_of = lambda r: f"p{r.agent_id}"
+    ref1, defs1 = naive_recursive_composition(
+        BehavioralEquation(p1, "f", (p2,), p1), name_of
+    )
+    ref2, defs2 = naive_recursive_composition(
+        BehavioralEquation(p2, "g", (p1,), p2), name_of
+    )
+    system = par(ref1, ref2, initializer(p1, 5, name_of), initializer(p2, 6, name_of))
+    computes = {"f": lambda m, x: x + m, "g": lambda m, x: x - m}
+    return initial_state(system, defs={**defs1, **defs2}, computes=computes)
+
+
+TRUNCATED_SEARCH = """
+from fuseforge.errors import ResourceLimitError
+from fuseforge.pi import reduce_all
+from test_reduce import sprime_state
+try:
+    result = reduce_all(sprime_state(), max_steps=10_000, max_states=300)
+except ResourceLimitError as exc:
+    result = exc.partial
+print(result.explored, len(result.irreducible), result.truncated)
+"""
+
+
+def test_truncated_search_does_not_depend_on_hash_seed():
+    """A search cut off by max_states explores the same states in processes
+    whose string hashes, and so set iteration orders, differ."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fuseforge.__file__)))
+    here = os.path.dirname(os.path.abspath(__file__))
+    outputs = set()
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]), PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", TRUNCATED_SEARCH], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, outputs
+    assert outputs.pop().split()[2] == "True"
 
 
 def test_value_env_step_count_increments():

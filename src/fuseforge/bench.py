@@ -107,7 +107,7 @@ COLUMNS = [
     "logical_messages_per_round", "wire_messages_per_round",
     "header_units_per_round", "opt_refine_ms", "opt_cache_ms", "opt_remote_ms",
     "opt_local_ms", "opt_merge_ms", "opt_pushdown_ms", "opt_total_ms",
-    "graph_build_ms", "checksum",
+    "graph_build_ms", "checksum", "partition_ms", "engine_compile_ms",
 ]
 
 
@@ -122,6 +122,8 @@ class MetricsRow:
     optimizer_ms: dict[str, float]
     graph_build_ms: float
     checksum: str
+    partition_ms: float
+    engine_compile_ms: float
 
     def as_csv(self) -> str:
         c = self.config
@@ -143,6 +145,7 @@ class MetricsRow:
             num(self.optimizer_ms.get("pushdown", 0.0)),
             num(sum(self.optimizer_ms.values())),
             num(self.graph_build_ms), self.checksum,
+            num(self.partition_ms), num(self.engine_compile_ms),
         ]
         return ",".join(cells)
 
@@ -196,7 +199,9 @@ def run(config: RunConfig) -> MetricsRow:
     """Graph build -> partition -> optimize -> compile -> repeated timed execution."""
     config.validate()
     wl, graph_ms = build_workload(config)
+    t0 = time.perf_counter()
     parts = build_partitions_for(config, wl)
+    partition_ms = (time.perf_counter() - t0) * 1000.0
     opt_times: dict[str, float] = {}
 
     def record(name: str, seconds: float) -> None:
@@ -204,7 +209,9 @@ def run(config: RunConfig) -> MetricsRow:
 
     plans = default_pipeline(parts, wl.equations, wl.static_marks, MODE_PASSES[config.mode],
                              wl.contracts, wl.pushdown_targets, record)
+    t0 = time.perf_counter()
     engine = Engine(wl, plans)
+    compile_ms = (time.perf_counter() - t0) * 1000.0
     rounds = config.resolved_rounds()
 
     per_rep = []
@@ -228,6 +235,8 @@ def run(config: RunConfig) -> MetricsRow:
         optimizer_ms=opt_times,
         graph_build_ms=graph_ms,
         checksum=state_checksum(wl, state.agent_values),
+        partition_ms=partition_ms,
+        engine_compile_ms=compile_ms,
     )
 
 

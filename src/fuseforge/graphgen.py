@@ -60,7 +60,12 @@ def torus2d(width: int, height: int) -> Graph:
 
 
 def erm(n: int, p: float, seed: int) -> Graph:
-    """Erdos-Renyi G(n, p) via geometric edge skipping."""
+    """Erdos-Renyi G(n, p) by the O(n+m) skip walk of Batagelj & Brandes.
+
+    Geometric skips advance a linear index over the strict upper triangle,
+    row by row; the index only grows, so the current row is carried along
+    instead of being recomputed from row 0 for every edge.
+    """
     if not 0.0 <= p <= 1.0:
         raise ParameterError(f"edge probability {p} outside [0, 1]")
     if p == 0.0:
@@ -72,33 +77,29 @@ def erm(n: int, p: float, seed: int) -> Graph:
     log_q = math.log1p(-p)
     total = n * (n - 1) // 2
     idx = -1
+    # row u of the triangle holds linear indices start .. start + row - 1
+    u, start, row = 0, 0, n - 1
     while True:
-        u = rng.random()
-        skip = int(math.log(1.0 - u) / log_q) if u > 0.0 else 0
+        r = rng.random()
+        skip = int(math.log(1.0 - r) / log_q) if r > 0.0 else 0
         idx += skip + 1
         if idx >= total:
             break
-        # linear index -> (row u, col v) in the strict upper triangle
-        a = _pair_from_index(idx, n)
-        edges.append(a)
+        while idx >= start + row:
+            start += row
+            u += 1
+            row -= 1
+        edges.append((u, u + 1 + idx - start))
     return _from_edge_set(n, edges)
-
-
-def _pair_from_index(idx: int, n: int) -> tuple[int, int]:
-    u = 0
-    row = n - 1
-    while idx >= row:
-        idx -= row
-        u += 1
-        row -= 1
-    return u, u + 1 + idx
 
 
 def sbm(n: int, blocks: int = 5, p_in: float = 0.01, p_out: float = 0.0, seed: int = 0) -> Graph:
     """Stochastic block model with balanced blocks.
 
     Cross-block edges appear with probability ``p_out`` (0 reproduces fully
-    disconnected blocks).
+    disconnected blocks).  Every pair with a nonzero probability draws once,
+    in row-major order; with ``p_out == 0`` only pairs inside a block are
+    visited, which draws the same numbers in the same order.
     """
     if blocks < 1 or n % blocks != 0:
         raise ParameterError(f"blocks={blocks} must divide n={n} for balanced blocks")
@@ -109,7 +110,8 @@ def sbm(n: int, blocks: int = 5, p_in: float = 0.01, p_out: float = 0.0, seed: i
     edges = []
     for u in range(n):
         bu = u // size
-        for v in range(u + 1, n):
+        end = n if p_out > 0.0 else (bu + 1) * size
+        for v in range(u + 1, end):
             p = p_in if v // size == bu else p_out
             if p > 0.0 and rng.random() < p:
                 edges.append((u, v))
@@ -222,16 +224,41 @@ def partition_greedy(graph: Graph, target_size: int, seed: int) -> list[Partitio
     Unplaced neighbors are enqueued in ascending id; when a component is
     exhausted before the partition reaches its target size, a new start
     vertex is seeded into the same partition to keep partitions balanced.
+    A start is the k-th smallest unplaced id for a random k, found in an
+    order-statistic Fenwick tree over "still unplaced" flags, so partitioning
+    takes O((n + m) log n) whatever the number of reseeds.
     """
     if target_size < 1:
         raise ParameterError("target size must be >= 1")
     n = graph.vertex_count
     rng = SplitMix64(seed, stream_id=4)
-    unplaced = sorted(range(n))
+    # tree[i] (1-based) counts the unplaced ids in (i - lowbit(i), i]
+    tree = [i & -i for i in range(n + 1)]
+    top = 1 << n.bit_length() >> 1
     placed = [False] * n
     assignment = [0] * n
     pid = 0
     remaining = n
+
+    def place(v: int) -> None:
+        placed[v] = True
+        assignment[v] = pid
+        i = v + 1
+        while i <= n:
+            tree[i] -= 1
+            i += i & -i
+
+    def kth_unplaced(k: int) -> int:
+        pos = 0
+        step = top
+        while step:
+            nxt = pos + step
+            if nxt <= n and tree[nxt] <= k:
+                pos = nxt
+                k -= tree[nxt]
+            step >>= 1
+        return pos
+
     while remaining > 0:
         size = 0
         queue: list[int] = []
@@ -239,11 +266,9 @@ def partition_greedy(graph: Graph, target_size: int, seed: int) -> list[Partitio
         while size < target_size and remaining > 0:
             if head >= len(queue):
                 # seed (or re-seed) from the lowest-id-first unplaced pool
-                unplaced = [v for v in unplaced if not placed[v]]
-                start = unplaced[rng.below(len(unplaced))]
+                start = kth_unplaced(rng.below(remaining))
                 queue.append(start)
-                placed[start] = True
-                assignment[start] = pid
+                place(start)
                 size += 1
                 remaining -= 1
             else:
@@ -253,8 +278,7 @@ def partition_greedy(graph: Graph, target_size: int, seed: int) -> list[Partitio
                     if size >= target_size:
                         break
                     if not placed[v]:
-                        placed[v] = True
-                        assignment[v] = pid
+                        place(v)
                         queue.append(v)
                         size += 1
                         remaining -= 1

@@ -12,12 +12,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 from .equations import (
     BehavioralEquation,
+    CacheOffset,
+    ComputationTree,
     ComputeMethodContract,
     StateRef,
+    TreeLeaf,
 )
 from .errors import (
     AlgebraicPreconditionError,
@@ -180,11 +184,49 @@ class PartitionPlan:
     pushdown_replaced: dict[int, frozenset[int]] = field(default_factory=dict, compare=False)
     inbound_aggregates: dict[int, tuple[DynamicStateRef, ...]] = field(default_factory=dict, compare=False)
     merged_order: tuple[int, ...] | None = None
-    merged_forest: MergedForest | None = None
 
     @property
     def agent_ids(self) -> tuple[int, ...]:
         return self.partition.member_ids
+
+    @cached_property
+    def merged_forest(self) -> MergedForest | None:
+        """The merged members' computation trees, derived on first access.
+
+        Trees are built from the refined classification, so an agent replaced
+        by aggregation pushdown reads the dynamic states instead of the
+        senders, and a cached remote reference appears as a local read of its
+        cache offset.  ``None`` before the merge pass or refinement.
+        """
+        if "merge" not in self.passes or any(
+            ap.refined is None for ap in self.per_agent.values()
+        ):
+            return None
+        pid = self.partition.id
+        members = self.partition.member_set
+        rewritten = "remote" in self.passes
+        trees = []
+        for agent in self.merged_order:
+            ap = self.per_agent[agent]
+            leaves = [TreeLeaf(ap.equation.lhs, "local", pid)]
+            for ref in ap.refined.local_static:
+                leaves.append(TreeLeaf(ref, "local", pid))
+            for ref, src in ap.refined.remote_static:
+                cache = self.inbound_caches.get((src, pid))
+                if rewritten and cache is not None:
+                    offset = CacheOffset((src, pid), cache.offset_of[ref])
+                    leaves.append(TreeLeaf(offset, "local", pid))
+                else:
+                    leaves.append(TreeLeaf(ref, "remote", src))
+            for ref in ap.refined.dynamic:
+                local = ref.agent_id in members
+                leaves.append(TreeLeaf(ref, "local" if local else "remote",
+                                       pid if local else None))
+            for dyn in self.inbound_aggregates.get(agent, ()):
+                leaves.append(TreeLeaf(dyn, "remote", dyn.host_partition))
+            trees.append(ComputationTree(ap.equation.rhs, ap.equation.compute,
+                                         tuple(leaves), pid))
+        return merge_trees(trees)
 
     def plan_key(self) -> tuple:
         """Equality surrogate including the non-compared dict fields."""
@@ -324,43 +366,9 @@ def _sort_reads(reads) -> tuple:
 
 def merge_plan(plan: PartitionPlan) -> PartitionPlan:
     """Consolidate members into one schedulable unit with a fixed execution
-    order; shared computation-tree leaves are deduplicated.
-
-    Trees are built from the refined classification, so an agent replaced by
-    aggregation pushdown reads the dynamic states instead of the senders, and
-    a cached remote reference appears as a local read of its cache offset.
-    """
-    from .equations import CacheOffset, ComputationTree, TreeLeaf
-
-    order = tuple(sorted(plan.per_agent))
-    forest = None
-    if all(ap.refined is not None for ap in plan.per_agent.values()):
-        pid = plan.partition.id
-        members = plan.partition.member_set
-        rewritten = "remote" in plan.passes
-        trees = []
-        for agent in order:
-            ap = plan.per_agent[agent]
-            leaves = [TreeLeaf(ap.equation.lhs, "local", pid)]
-            for ref in ap.refined.local_static:
-                leaves.append(TreeLeaf(ref, "local", pid))
-            for ref, src in ap.refined.remote_static:
-                cache = plan.inbound_caches.get((src, pid))
-                if rewritten and cache is not None:
-                    offset = CacheOffset((src, pid), cache.offset_of[ref])
-                    leaves.append(TreeLeaf(offset, "local", pid))
-                else:
-                    leaves.append(TreeLeaf(ref, "remote", src))
-            for ref in ap.refined.dynamic:
-                local = ref.agent_id in members
-                leaves.append(TreeLeaf(ref, "local" if local else "remote",
-                                       pid if local else None))
-            for dyn in plan.inbound_aggregates.get(agent, ()):
-                leaves.append(TreeLeaf(dyn, "remote", dyn.host_partition))
-            trees.append(ComputationTree(ap.equation.rhs, ap.equation.compute,
-                                         tuple(leaves), pid))
-        forest = merge_trees(trees)
-    return replace(plan, merged_order=order, merged_forest=forest,
+    order.  The executor reads only the order; the deduplicated computation
+    forest is ``PartitionPlan.merged_forest``, derived when first read."""
+    return replace(plan, merged_order=tuple(sorted(plan.per_agent)),
                    passes=plan.passes | {"merge"})
 
 

@@ -2,15 +2,16 @@
 
 Execution follows the synchronous BSP contract: messages sent in superstep t
 are readable only in t+1.  Every agent's out-message of the previous round
-lives in one flat message buffer: entries 0..n-1 hold each agent's message,
-and the slots of every partition-pair message cache follow them.  A staged
-read (local read, cache read, or a cache slot the receiver reads without the
-remote pass) is an index into that buffer, and an agent's inputs are one
-gather over its indices plus its mailbox.  Agents write the next round's
-buffer, which swaps with the previous one at the barrier; agent values are
-updated in place, since no agent reads another's value directly.  The
-buffer and the mailboxes are seeded with each agent's initial-value
-message, so staged reads at superstep 0 match message-passing mode exactly.
+lives in one flat message buffer of n entries, indexed by agent id.  A
+staged read (local read, cache read, or a cache slot the receiver reads
+without the remote pass) is the index of its source agent: a cache slot
+holds exactly its source's message, so it aliases that entry, and caches
+remain only the wire-unit model.  An agent's inputs are one gather over its
+indices plus its mailbox.  Agents write the next round's buffer, which swaps
+with the previous one at the barrier; agent values are updated in place,
+since no agent reads another's value directly.  The buffer and the
+mailboxes are seeded with each agent's initial-value message, so staged
+reads at superstep 0 match message-passing mode exactly.
 
 Determinism: order-sensitive contracts consume their inputs in ascending
 sender order, per-agent RNG streams live inside agent values, and
@@ -105,23 +106,12 @@ class Engine:
             raise CoverageError(f"agents not covered by any plan: {missing[:10]}")
         self.partition_of = [covered[a] for a in range(n)]
 
-        # message buffer layout: agents 0..n-1, then each cache's slots in key
-        # order; source_of maps every buffer index to the agent that writes it
-        caches = {key: c for plan in plans for key, c in plan.outbound_caches.items()}
+        caches = {key for plan in plans for key in plan.outbound_caches}
         self.cache_count = len(caches)
-        self.source_of = list(range(n))
-        base: dict[tuple[int, int], int] = {}
-        for key in sorted(caches):
-            base[key] = len(self.source_of)
-            self.source_of.extend(ref.agent_id for ref in caches[key].schema)
-        publish: list[list[int]] = [[a] for a in range(n)]
-        for i in range(n, len(self.source_of)):
-            publish[self.source_of[i]].append(i)
-        self.publish = [tuple(p) for p in publish]
 
-        # per reader: buffer indices sorted by source, and the senders that
-        # reach it by mailbox (whatever no staged read or cache slot covers,
-        # minus senders folded by an aggregator)
+        # per reader: the sources it reads from the buffer, ascending, and the
+        # senders that reach it by mailbox (whatever no staged read or cache
+        # slot covers, minus senders folded by an aggregator)
         self.contract_of: list[ComputeMethodContract] = [None] * n  # type: ignore
         self.reads: list[tuple[int, ...]] = [()] * n
         self.local_to: list[list[int]] = [[] for _ in range(n)]
@@ -131,26 +121,24 @@ class Engine:
             for a, ap in plan.per_agent.items():
                 self.contract_of[a] = workload.contracts[ap.equation.compute]
                 rn = ap.refined or RefinedNeighbors((), (), ap.equation.reference_set)
-                gather: list[tuple[int, int]] = []  # (source, buffer index)
+                gather: list[int] = []
                 for e in ap.staged:
                     if isinstance(e, LocalRead):
-                        gather.append((e.target.agent_id, e.target.agent_id))
+                        gather.append(e.target.agent_id)
                     elif isinstance(e, CacheRead):
-                        gather.append((e.source_agent, base[e.cache] + e.offset))
-                staged = {src for src, _ in gather}
+                        gather.append(e.source_agent)
+                staged = set(gather)
                 mail = [r.agent_id for r in rn.local_static if r.agent_id not in staged]
                 for ref, src_pid in rn.remote_static:
                     if ref.agent_id in staged:
                         continue
-                    key = (src_pid, pid)
-                    if key in base:  # cached but not rewritten: read the slot
-                        gather.append((ref.agent_id, base[key] + caches[key].offset_of[ref]))
+                    if (src_pid, pid) in caches:  # cached but not rewritten: read the slot
+                        gather.append(ref.agent_id)
                     else:
                         mail.append(ref.agent_id)
                 replaced = plan.pushdown_replaced.get(a, ())
                 mail.extend(r.agent_id for r in rn.dynamic if r.agent_id not in replaced)
-                gather.sort()
-                self.reads[a] = tuple(i for _, i in gather)
+                self.reads[a] = tuple(sorted(gather))
                 for s in mail:
                     (self.local_to if self.partition_of[s] == pid else self.cross_to)[s].append(a)
 
@@ -176,13 +164,12 @@ class Engine:
 
         values: list = [wl.initial_values[a] for a in range(n)]
         # superstep-0 seeding: initial-value sends arrive at round 0
-        prev: list = [None] * len(self.source_of)
-        nxt: list = [None] * len(self.source_of)
+        prev: list = [None] * n
+        nxt: list = [None] * n
         mailbox: list[list] = [[] for _ in range(n)]
         for a in range(n):
             out = self.contract_of[a].state_to_message(values[a])
-            for i in self.publish[a]:
-                prev[i] = out
+            prev[a] = out
             if out is not None:
                 for r in self.local_to[a] + self.cross_to[a]:
                     mailbox[r].append((a, out))
@@ -256,8 +243,6 @@ class Engine:
     def _run_partition(self, idx, values, prev, nxt, mailbox, mail_next, shard, counter) -> None:
         contract_of = self.contract_of
         reads = self.reads
-        source_of = self.source_of
-        publish = self.publish
         local_to = self.local_to
         cross_to = self.cross_to
         logical = crossed = 0
@@ -272,7 +257,7 @@ class Engine:
                 # order-sensitive fold: merge the reads into the mailbox by
                 # sender (such contracts never receive aggregated partials)
                 if indices:
-                    inbox.extend([(source_of[i], m) for i, m in zip(indices, msgs)
+                    inbox.extend([(i, m) for i, m in zip(indices, msgs)
                                   if m is not None])
                 inbox.sort(key=_sender)
                 msgs = [p for _, p in inbox]
@@ -294,8 +279,7 @@ class Engine:
             values[agent] = new_value
 
             out = c.state_to_message(new_value)
-            for i in publish[agent]:
-                nxt[i] = out
+            nxt[agent] = out
             if out is not None:
                 local = local_to[agent]
                 if local:

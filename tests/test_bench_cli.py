@@ -99,6 +99,20 @@ def test_config_file_with_cli_override(tmp_path):
     assert cells[COLUMNS.index("agents")] == "100"
 
 
+def test_setup_columns_follow_checksum(tmp_path):
+    out = tmp_path / "out.csv"
+    rc = main(["run", "--workload", "gol", "--agents", "100", "--partitions", "2",
+               "--rounds", "2", "--repetitions", "1", "--out", str(out)])
+    assert rc == 0
+    header, row = open(out).read().splitlines()
+    names = header.split(",")
+    assert names[-3:] == ["checksum", "partition_ms", "engine_compile_ms"]
+    cells = row.split(",")
+    assert len(cells) == len(names)
+    for column in ("partition_ms", "engine_compile_ms"):
+        assert float(cells[names.index(column)]) >= 0.0
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("wave_speed=3\n")

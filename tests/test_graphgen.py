@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+import time
 
 import pytest
 
 from fuseforge.errors import ParameterError
 from fuseforge.graphgen import (
+    Graph,
     cross_partition_edge_count,
     erm,
     load_graph,
@@ -20,6 +23,7 @@ from fuseforge.graphgen import (
     star,
     torus2d,
 )
+from fuseforge.rng import SplitMix64
 
 
 def test_torus_every_vertex_degree_eight():
@@ -197,3 +201,150 @@ def test_edge_list_roundtrip(tmp_path):
     path = str(tmp_path / "g.edges")
     save_graph(g, path)
     assert load_graph(path).adjacency == g.adjacency
+
+
+# Goldens: digests of the generators' and the greedy partitioner's outputs,
+# pinned from the quadratic implementations these replaced.  Graphs and
+# partitions are part of the reproducibility contract, so any change to the
+# random streams or the walk order shows up here.
+
+
+def _digest(obj) -> str:
+    return hashlib.blake2b(repr(obj).encode(), digest_size=16).hexdigest()
+
+
+ERM_GOLDENS = [
+    ((4000, 0.005, 0), "5588b71e3f619dbe71272dfaf39ba244"),
+    ((4000, 0.005, 1), "ac26c11e4dba2758a2823f419fcd8e00"),
+    ((4000, 0.005, 2), "265bddd90b2d1c20786ab02e554af080"),
+    ((300, 0.3, 4), "de27eba07b8a7b1f867f2f1db3652093"),
+    ((1000, 0.01, 3), "868c45873510ecfc5c8b7da549aa6cd4"),
+    ((2, 0.5, 0), "2c2a7c64679df0597cd166c5971c02a6"),
+    ((2, 0.5, 2), "32ad1ccdd78417c1f7b68ca41ea3e13c"),
+    ((5, 0.5, 9), "3483bb306ad11299f837fad7310dfefa"),
+    ((1, 0.5, 0), "cd335fbef0f0397cbd3874b4f2c6b710"),
+    ((0, 0.5, 0), "de75f5edfabdb0477e652512e4287161"),
+]
+
+
+@pytest.mark.parametrize("args,want", ERM_GOLDENS)
+def test_erm_adjacency_golden(args, want):
+    assert _digest(erm(*args).adjacency) == want
+
+
+SBM_GOLDENS = [
+    ((1000, 5, 0.01, 0.0, 7), "e8d9ac324679c776c47b13fbcbe46d08"),
+    ((600, 3, 0.02, 0.002, 3), "809a3f088ef349158c813c694c14bcd3"),
+    ((90, 3, 0.2, 0.0, 1), "65718890939c0479659b40dc7a04e05f"),
+]
+
+
+@pytest.mark.parametrize("args,want", SBM_GOLDENS)
+def test_sbm_adjacency_golden(args, want):
+    assert _digest(sbm(*args).adjacency) == want
+
+
+GREEDY_GOLDENS = [
+    ("star", lambda: star(10001), 1001, 0, "75cadcd58fc36913c18a3692cb292eda"),
+    ("torus", lambda: torus2d(100, 100), 1000, 0, "eb490f48242b404e06b625658cb8e5e5"),
+    ("torus", lambda: torus2d(100, 100), 1000, 3, "b3db9aac9270b968ece9cee11868ed6f"),
+    # 775 of the 2000 vertices are isolated, so most partitions reseed often
+    ("erm", lambda: erm(2000, 0.0005, 5), 150, 1, "f3786f6259e8b8a5d883b9a392d45992"),
+    ("sbm", lambda: sbm(1000, 5, 0.01, 0.0, 7), 130, 2, "99f0e783f5774f5d1ca2a92449d91755"),
+    ("small-star", lambda: star(7), 2, 4, "ecca4c967dcfbeed7c5d87e8403972bb"),
+]
+
+
+@pytest.mark.parametrize("name,make,target,seed,want", GREEDY_GOLDENS,
+                         ids=[f"{g[0]}-{g[2]}-{g[3]}" for g in GREEDY_GOLDENS])
+def test_greedy_partition_golden(name, make, target, seed, want):
+    parts = partition_greedy(make(), target, seed)
+    assert _digest([(p.id, p.member_ids) for p in parts]) == want
+
+
+def _erm_reference(n: int, p: float, seed: int) -> Graph:
+    """The quadratic walk: every edge's row is found by scanning from row 0."""
+    rng = SplitMix64(seed, stream_id=1)
+    log_q = math.log1p(-p)
+    total = n * (n - 1) // 2
+    adj: list[list[int]] = [[] for _ in range(n)]
+    idx = -1
+    while True:
+        r = rng.random()
+        idx += (int(math.log(1.0 - r) / log_q) if r > 0.0 else 0) + 1
+        if idx >= total:
+            break
+        u, col, row = 0, idx, n - 1
+        while col >= row:
+            col -= row
+            u += 1
+            row -= 1
+        adj[u].append(u + 1 + col)
+        adj[u + 1 + col].append(u)
+    return Graph(n, tuple(tuple(sorted(a)) for a in adj))
+
+
+def _greedy_reference(graph: Graph, target_size: int, seed: int) -> list[int]:
+    """Greedy assignment that re-filters a sorted unplaced list on reseed."""
+    n = graph.vertex_count
+    rng = SplitMix64(seed, stream_id=4)
+    unplaced = list(range(n))
+    assignment = [-1] * n
+    pid = 0
+    remaining = n
+    while remaining > 0:
+        size = 0
+        queue: list[int] = []
+        head = 0
+        while size < target_size and remaining > 0:
+            if head >= len(queue):
+                unplaced = [v for v in unplaced if assignment[v] < 0]
+                queue.append(unplaced[rng.below(len(unplaced))])
+                assignment[queue[-1]] = pid
+                size += 1
+                remaining -= 1
+            else:
+                u = queue[head]
+                head += 1
+                for v in graph.adjacency[u]:
+                    if size >= target_size:
+                        break
+                    if assignment[v] < 0:
+                        assignment[v] = pid
+                        queue.append(v)
+                        size += 1
+                        remaining -= 1
+        pid += 1
+    return assignment
+
+
+def test_erm_and_greedy_match_quadratic_references():
+    rng = random.Random(5)
+    for trial in range(60):
+        n = rng.randint(0, 90)
+        p = rng.choice([0.01, 0.03, 0.1, 0.5, 0.9])
+        g = erm(n, p, trial)
+        assert g.adjacency == _erm_reference(n, p, trial).adjacency, (n, p, trial)
+        if n == 0:
+            continue
+        target = rng.randint(1, n)
+        got = [0] * n
+        for part in partition_greedy(g, target, trial):
+            for v in part.member_ids:
+                got[v] = part.id
+        assert got == _greedy_reference(g, target, trial), (n, p, trial, target)
+
+
+def test_setup_scales_linearly():
+    """A quadratic walk in either function would take minutes here."""
+    t0 = time.perf_counter()
+    g = erm(20_000, 10 / 20_000, 0)
+    erm_s = time.perf_counter() - t0
+    assert g.vertex_count == 20_000
+    assert erm_s < 3.0, f"erm(20000, 0.0005) took {erm_s:.2f} s"
+    hub = star(20_001)
+    t0 = time.perf_counter()
+    parts = partition_greedy(hub, 2_001, 0)
+    greedy_s = time.perf_counter() - t0
+    assert len(parts) == 10
+    assert greedy_s < 3.0, f"greedy partitioning of star(20001) took {greedy_s:.2f} s"

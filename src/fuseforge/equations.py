@@ -1,4 +1,4 @@
-"""Behavioral-equation IR, compute-method contracts, and computation trees.
+"""Behavioral-equation IR and compute-method contracts.
 
 An equation ``p := f{i_1..i_n}.q`` names a state, the compute method applied
 per superstep, the ordered states it reads, and the successor state.  The
@@ -11,11 +11,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal
+from typing import Callable, Iterable
 
-from .errors import ContractError, PlacementError
-
-PartitionId = int
+from .errors import ContractError
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,61 +143,3 @@ def validate_contract(contract: ComputeMethodContract, cases: int = 200, seed: i
                 f"{contract.name}: declared associative+commutative but "
                 f"fold({msgs}) = {whole} != {regrouped} after regrouping"
             )
-
-
-# Computation trees ----------------------------------------------------------
-
-Accessor = Literal["local", "remote"]
-
-
-@dataclass(frozen=True)
-class CacheOffset:
-    cache: tuple[PartitionId, PartitionId]  # (source, dest)
-    offset: int
-
-
-@dataclass(frozen=True)
-class TreeLeaf:
-    source: object  # StateRef | CacheOffset | DynamicStateRef
-    accessor: Accessor
-    partition: PartitionId | None = None
-
-
-@dataclass(frozen=True)
-class ComputationTree:
-    """One equation visualized as a root apply node over unordered leaves."""
-
-    result: StateRef
-    op: str
-    leaves: tuple[TreeLeaf, ...]
-    partition: PartitionId | None = None
-
-    @property
-    def node_count(self) -> int:
-        return 1 + len(self.leaves)
-
-
-def to_computation_tree(
-    eq: BehavioralEquation, placement: dict[StateRef, PartitionId] | None = None
-) -> ComputationTree:
-    """Build the tree for one equation; leaves are Remote iff placed on a
-    different partition than the lhs."""
-    if placement is None:
-        placement = {}
-        home = None
-    else:
-        if eq.lhs not in placement:
-            raise PlacementError(f"no placement for {eq.lhs!r}")
-        home = placement[eq.lhs]
-    leaves = [TreeLeaf(eq.lhs, "local", home)]
-    for ref in eq.reference_set:
-        if home is None:
-            leaves.append(TreeLeaf(ref, "local", None))
-            continue
-        if ref not in placement:
-            raise PlacementError(f"no placement for {ref!r}")
-        where = placement[ref]
-        accessor = "local" if where == home else "remote"
-        leaves.append(TreeLeaf(ref, accessor, where))
-    return ComputationTree(result=eq.rhs, op=eq.compute, leaves=tuple(leaves), partition=home)
-

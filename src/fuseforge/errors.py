@@ -36,10 +36,6 @@ class ContractError(FuseForgeError):
     """Message value does not match the contract's declared type tag."""
 
 
-class PlacementError(FuseForgeError):
-    """A state reference has no partition placement."""
-
-
 class ParameterError(FuseForgeError):
     """Generator or partitioner parameter out of range."""
 

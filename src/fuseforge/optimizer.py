@@ -12,17 +12,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable
 
-from .equations import (
-    BehavioralEquation,
-    CacheOffset,
-    ComputationTree,
-    ComputeMethodContract,
-    StateRef,
-    TreeLeaf,
-)
+from .equations import BehavioralEquation, ComputeMethodContract, StateRef
 from .errors import (
     AlgebraicPreconditionError,
     DanglingReferenceError,
@@ -63,10 +55,6 @@ class MessageCache:
     schema: tuple[StateRef, ...]  # sorted ascending by agent id
     offset_of: dict[StateRef, int] = field(compare=False)
 
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.source_partition, self.dest_partition)
-
     def __len__(self) -> int:
         return len(self.schema)
 
@@ -94,21 +82,11 @@ class LocalRead:
 
 
 @dataclass(frozen=True)
-class PartialFold:
-    inputs: tuple
-    via: str
-
-
-StagedExpr = object  # CacheRead | LocalRead | PartialFold
-
-
-@dataclass(frozen=True)
 class DynamicStateRef:
     """System-created aggregation state; ids are negative and disjoint from
     agent ids."""
 
     synthetic_id: int
-    host_partition: int
     fold_op: str
 
 
@@ -116,51 +94,7 @@ class DynamicStateRef:
 class Aggregator:
     ref: DynamicStateRef
     target_agent: int
-    target_partition: int
     senders: tuple[int, ...]  # local senders, ascending
-
-    @property
-    def staged(self) -> PartialFold:
-        """The aggregation as a staged expression over sender reads."""
-        return PartialFold(
-            tuple(LocalRead(StateRef(s)) for s in self.senders),
-            self.ref.fold_op,
-        )
-
-
-# Merged computation forest ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MergedForest:
-    """Member computation trees with duplicate leaves unified.
-
-    Leaves are keyed on (source, accessor); roots reference leaf indexes.
-    """
-
-    roots: tuple[tuple[StateRef, str], ...]
-    leaves: tuple[tuple[object, str], ...]
-    edges: tuple[tuple[int, ...], ...]
-
-    @property
-    def node_count(self) -> int:
-        return len(self.roots) + len(self.leaves)
-
-
-def merge_trees(trees) -> MergedForest:
-    leaf_index: dict[tuple[object, str], int] = {}
-    roots = []
-    edges = []
-    for tree in trees:
-        roots.append((tree.result, tree.op))
-        row = []
-        for leaf in tree.leaves:
-            key = (leaf.source, leaf.accessor)
-            if key not in leaf_index:
-                leaf_index[key] = len(leaf_index)
-            row.append(leaf_index[key])
-        edges.append(tuple(row))
-    return MergedForest(tuple(roots), tuple(leaf_index), tuple(edges))
 
 
 # Partition plans ---------------------------------------------------------------
@@ -170,7 +104,7 @@ def merge_trees(trees) -> MergedForest:
 class AgentPlan:
     equation: BehavioralEquation
     refined: RefinedNeighbors | None = None
-    staged: tuple[StagedExpr, ...] = ()
+    staged: tuple[CacheRead | LocalRead, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -182,51 +116,11 @@ class PartitionPlan:
     outbound_caches: dict[tuple[int, int], MessageCache] = field(default_factory=dict, compare=False)
     aggregators: tuple[Aggregator, ...] = ()
     pushdown_replaced: dict[int, frozenset[int]] = field(default_factory=dict, compare=False)
-    inbound_aggregates: dict[int, tuple[DynamicStateRef, ...]] = field(default_factory=dict, compare=False)
     merged_order: tuple[int, ...] | None = None
 
     @property
     def agent_ids(self) -> tuple[int, ...]:
         return self.partition.member_ids
-
-    @cached_property
-    def merged_forest(self) -> MergedForest | None:
-        """The merged members' computation trees, derived on first access.
-
-        Trees are built from the refined classification, so an agent replaced
-        by aggregation pushdown reads the dynamic states instead of the
-        senders, and a cached remote reference appears as a local read of its
-        cache offset.  ``None`` before the merge pass or refinement.
-        """
-        if "merge" not in self.passes or any(
-            ap.refined is None for ap in self.per_agent.values()
-        ):
-            return None
-        pid = self.partition.id
-        members = self.partition.member_set
-        rewritten = "remote" in self.passes
-        trees = []
-        for agent in self.merged_order:
-            ap = self.per_agent[agent]
-            leaves = [TreeLeaf(ap.equation.lhs, "local", pid)]
-            for ref in ap.refined.local_static:
-                leaves.append(TreeLeaf(ref, "local", pid))
-            for ref, src in ap.refined.remote_static:
-                cache = self.inbound_caches.get((src, pid))
-                if rewritten and cache is not None:
-                    offset = CacheOffset((src, pid), cache.offset_of[ref])
-                    leaves.append(TreeLeaf(offset, "local", pid))
-                else:
-                    leaves.append(TreeLeaf(ref, "remote", src))
-            for ref in ap.refined.dynamic:
-                local = ref.agent_id in members
-                leaves.append(TreeLeaf(ref, "local" if local else "remote",
-                                       pid if local else None))
-            for dyn in self.inbound_aggregates.get(agent, ()):
-                leaves.append(TreeLeaf(dyn, "remote", dyn.host_partition))
-            trees.append(ComputationTree(ap.equation.rhs, ap.equation.compute,
-                                         tuple(leaves), pid))
-        return merge_trees(trees)
 
     def plan_key(self) -> tuple:
         """Equality surrogate including the non-compared dict fields."""
@@ -352,22 +246,17 @@ def rewrite_local(plan: PartitionPlan) -> PartitionPlan:
     return replace(plan, per_agent=per_agent, passes=plan.passes | {"local"})
 
 
-def _read_source(e) -> int:
-    if isinstance(e, CacheRead):
-        return e.source_agent
-    if isinstance(e, LocalRead):
-        return e.target.agent_id
-    return -1
+def _read_source(e: CacheRead | LocalRead) -> int:
+    return e.source_agent if isinstance(e, CacheRead) else e.target.agent_id
 
 
-def _sort_reads(reads) -> tuple:
+def _sort_reads(reads) -> tuple[CacheRead | LocalRead, ...]:
     return tuple(sorted(reads, key=_read_source))
 
 
 def merge_plan(plan: PartitionPlan) -> PartitionPlan:
     """Consolidate members into one schedulable unit with a fixed execution
-    order.  The executor reads only the order; the deduplicated computation
-    forest is ``PartitionPlan.merged_forest``, derived when first read."""
+    order (ascending agent id)."""
     return replace(plan, merged_order=tuple(sorted(plan.per_agent)),
                    passes=plan.passes | {"merge"})
 
@@ -380,14 +269,19 @@ def aggregation_pushdown(
     """Fold messages bound for ``target`` inside each non-owner partition and
     ship one partial result instead.
 
-    The replaced senders disappear from the target's static remote references
-    (and any already-staged cache reads), so later cache synthesis carries
-    only references that are still read directly.
+    This pass alone decides which senders an aggregator replaces.  They leave
+    the target's static remote references, its dynamic references and any
+    already-staged cache reads, so later cache synthesis carries only
+    references that are still read directly and the executor mails none of
+    them.
     """
     owner = next(p for p in plans if target in p.per_agent)
+    ap = owner.per_agent[target]
+    if ap.refined is None:
+        raise PipelineOrderError("aggregation_pushdown requires refine_communication first")
     if target in owner.pushdown_replaced:
         return list(plans)
-    eq = owner.per_agent[target].equation
+    eq = ap.equation
     contract = contracts[eq.compute]
     if not contract.pushdown_eligible:
         raise AlgebraicPreconditionError(
@@ -399,50 +293,39 @@ def aggregation_pushdown(
     replaced: set[int] = set()
     aggs_by_pid: dict[int, Aggregator] = {}
     for plan in sorted(plans, key=lambda p: p.partition.id):
-        if plan.partition.id == owner.partition.id:
+        if plan is owner:
             continue
         local_senders = tuple(sorted(sender_ids & plan.partition.member_set))
         if not local_senders:
             continue
         counter += 1
-        ref = DynamicStateRef(-counter, plan.partition.id, eq.compute)
-        aggs_by_pid[plan.partition.id] = Aggregator(
-            ref, target, owner.partition.id, local_senders
-        )
+        ref = DynamicStateRef(-counter, eq.compute)
+        aggs_by_pid[plan.partition.id] = Aggregator(ref, target, local_senders)
         replaced.update(local_senders)
     new_plans = []
     for plan in plans:
         agg = aggs_by_pid.get(plan.partition.id)
-        updated = plan
         if agg is not None:
-            updated = replace(updated, aggregators=plan.aggregators + (agg,))
-        if plan.partition.id == owner.partition.id and replaced:
-            ap = updated.per_agent[target]
-            refined = ap.refined
-            if refined is not None:
-                refined = replace(
-                    refined,
-                    remote_static=tuple(
-                        (r, pid) for r, pid in refined.remote_static
-                        if r.agent_id not in replaced
-                    ),
-                )
+            plan = replace(plan, aggregators=plan.aggregators + (agg,))
+        elif plan is owner and replaced:
+            refined = replace(
+                ap.refined,
+                remote_static=tuple(
+                    (r, pid) for r, pid in ap.refined.remote_static
+                    if r.agent_id not in replaced
+                ),
+                dynamic=tuple(r for r in ap.refined.dynamic if r.agent_id not in replaced),
+            )
             staged = tuple(
                 e for e in ap.staged
                 if not (isinstance(e, CacheRead) and e.source_agent in replaced)
             )
-            per_agent = dict(updated.per_agent)
-            per_agent[target] = replace(ap, refined=refined, staged=staged)
-            marks = dict(updated.pushdown_replaced)
-            marks[target] = frozenset(replaced)
-            inbound = dict(updated.inbound_aggregates)
-            inbound[target] = tuple(
-                aggs_by_pid[pid].ref for pid in sorted(aggs_by_pid)
-            )
-            updated = replace(updated, per_agent=per_agent, pushdown_replaced=marks,
-                              inbound_aggregates=inbound,
-                              passes=updated.passes | {"pushdown"})
-        new_plans.append(updated)
+            per_agent = {**plan.per_agent, target: replace(ap, refined=refined, staged=staged)}
+            plan = replace(plan, per_agent=per_agent,
+                           pushdown_replaced={**plan.pushdown_replaced,
+                                              target: frozenset(replaced)},
+                           passes=plan.passes | {"pushdown"})
+        new_plans.append(plan)
     return new_plans
 
 

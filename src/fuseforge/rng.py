@@ -52,10 +52,6 @@ class SplitMix64:
     def __init__(self, seed: int, stream_id: int = 0):
         self.state = derive_stream(seed, stream_id)
 
-    def u64(self) -> int:
-        self.state, out = next_u64(self.state)
-        return out
-
     def random(self) -> float:
         self.state, out = next_float(self.state)
         return out

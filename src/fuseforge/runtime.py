@@ -53,11 +53,6 @@ class Metrics:
         return sum(self.wall_seconds_per_round) / len(self.wall_seconds_per_round)
 
 
-def wire_message_count(metrics: Metrics) -> tuple[list[int], list[int]]:
-    """(logical agent-to-agent messages, cross-partition wire units) per round."""
-    return metrics.logical_messages_per_round, metrics.wire_units_per_round
-
-
 @dataclass
 class SimulationState:
     superstep: int
@@ -111,7 +106,8 @@ class Engine:
 
         # per reader: the sources it reads from the buffer, ascending, and the
         # senders that reach it by mailbox (whatever no staged read or cache
-        # slot covers, minus senders folded by an aggregator)
+        # slot covers; aggregation pushdown has already dropped the senders
+        # its aggregators fold)
         self.contract_of: list[ComputeMethodContract] = [None] * n  # type: ignore
         self.reads: list[tuple[int, ...]] = [()] * n
         self.local_to: list[list[int]] = [[] for _ in range(n)]
@@ -136,8 +132,7 @@ class Engine:
                         gather.append(ref.agent_id)
                     else:
                         mail.append(ref.agent_id)
-                replaced = plan.pushdown_replaced.get(a, ())
-                mail.extend(r.agent_id for r in rn.dynamic if r.agent_id not in replaced)
+                mail.extend(r.agent_id for r in rn.dynamic)
                 self.reads[a] = tuple(sorted(gather))
                 for s in mail:
                     (self.local_to if self.partition_of[s] == pid else self.cross_to)[s].append(a)

@@ -1,4 +1,4 @@
-"""Compute-method contracts, default run semantics, computation trees."""
+"""Compute-method contracts, default run semantics, equation invariants."""
 
 from __future__ import annotations
 
@@ -11,10 +11,9 @@ from fuseforge.equations import (
     ComputeMethodContract,
     StateRef,
     default_run,
-    to_computation_tree,
     validate_contract,
 )
-from fuseforge.errors import ContractError, PlacementError
+from fuseforge.errors import ContractError
 from fuseforge.workloads import gol_contract
 
 
@@ -95,46 +94,6 @@ def test_fold_regroup_matches_for_random_groupings():
             parts = [contract.partial_compute(msgs[:cut]), contract.partial_compute(msgs[cut:])]
             folded = contract.partial_compute([p for p in parts if p is not None])
             assert folded == whole
-
-
-FIG3_EQ = BehavioralEquation(
-    StateRef(1), "op", (StateRef(2), StateRef(3), StateRef(4)), StateRef(1, 1)
-)
-
-
-def test_tree_single_partition_everything_local():
-    tree = to_computation_tree(FIG3_EQ, {StateRef(k): 0 for k in (1, 2, 3, 4)})
-    assert len(tree.leaves) == 4
-    assert all(leaf.accessor == "local" for leaf in tree.leaves)
-
-
-def test_tree_split_partitions_marks_remote():
-    placement = {StateRef(1): 1, StateRef(2): 1, StateRef(3): 2, StateRef(4): 2}
-    tree = to_computation_tree(FIG3_EQ, placement)
-    access = {leaf.source: leaf.accessor for leaf in tree.leaves}
-    assert access[StateRef(1)] == "local"
-    assert access[StateRef(2)] == "local"
-    assert access[StateRef(3)] == "remote"
-    assert access[StateRef(4)] == "remote"
-    assert tree.partition == 1
-
-
-def test_tree_leaf_count_and_purity():
-    rng = random.Random(9)
-    for _ in range(30):
-        n = rng.randint(0, 7)
-        refs = tuple(StateRef(10 + j) for j in range(n))
-        eq = BehavioralEquation(StateRef(1), "f", refs, StateRef(1, 1))
-        placement = {StateRef(1): 0, **{r: rng.randint(0, 3) for r in refs}}
-        t1 = to_computation_tree(eq, placement)
-        t2 = to_computation_tree(eq, placement)
-        assert len(t1.leaves) == 1 + n
-        assert t1 == t2
-
-
-def test_tree_missing_placement():
-    with pytest.raises(PlacementError):
-        to_computation_tree(FIG3_EQ, {StateRef(1): 0})
 
 
 def test_duplicate_references_rejected():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from fuseforge.equations import BehavioralEquation, StateRef, to_computation_tree
+from fuseforge.equations import BehavioralEquation, StateRef
 from fuseforge.errors import AlgebraicPreconditionError, PipelineOrderError
 from fuseforge.graphgen import Graph, build_partitions, erm, partition_greedy
 from fuseforge.optimizer import (
@@ -16,7 +16,6 @@ from fuseforge.optimizer import (
     default_pipeline,
     initial_plan,
     merge_plan,
-    merge_trees,
     refine_communication,
     register_caches,
     rewrite_local,
@@ -25,7 +24,7 @@ from fuseforge.optimizer import (
     validate_options,
 )
 from fuseforge.workloads import build_gol, state_checksum
-from fuseforge.runtime import execute
+from fuseforge.runtime import Engine, execute
 
 
 def min_contract():
@@ -202,8 +201,6 @@ def test_merge_orders_ascending_and_shares_leaves():
     plans = _refined_plans()
     merged = merge_plan(plans[0])
     assert merged.merged_order == (0, 1)
-    # x1 tree: 1 root + 4 leaves; x2 tree: 1 root + 3 leaves; 3 shared leaves
-    assert merged.merged_forest.node_count == 5 + 4 - 3
 
 
 def test_merge_singleton_partition_structurally_unchanged():
@@ -214,26 +211,6 @@ def test_merge_singleton_partition_structurally_unchanged():
                             refine_communication(parts[0], eqs, {0: set()}))
     merged = merge_plan(plan)
     assert merged.merged_order == (0,)
-    assert merged.merged_forest.node_count == 2  # root + own-state leaf
-
-
-def test_merge_tree_node_count_formula():
-    import random
-
-    rng = random.Random(77)
-    for _ in range(25):
-        n1 = rng.randint(0, 6)
-        n2 = rng.randint(0, 6)
-        shared = tuple(StateRef(100 + j) for j in range(rng.randint(0, min(n1, n2))))
-        refs1 = shared + tuple(StateRef(200 + j) for j in range(n1 - len(shared)))
-        refs2 = shared + tuple(StateRef(300 + j) for j in range(n2 - len(shared)))
-        eq1 = BehavioralEquation(StateRef(1), "f", refs1, StateRef(1, 1))
-        eq2 = BehavioralEquation(StateRef(2), "f", refs2, StateRef(2, 1))
-        placement = {ref: 0 for ref in (StateRef(1), StateRef(2)) + refs1 + refs2}
-        t1 = to_computation_tree(eq1, placement)
-        t2 = to_computation_tree(eq2, placement)
-        forest = merge_trees([t1, t2])
-        assert forest.node_count == t1.node_count + t2.node_count - len(shared)
 
 
 def test_pushdown_fig3_creates_dynamic_state():
@@ -271,6 +248,28 @@ def test_pushdown_requires_algebraic_flags():
         aggregation_pushdown(plans, 0, {"min": contract})
 
 
+def test_pushdown_drops_replaced_senders_from_dynamic_references():
+    """With no static marks every reference is dynamic; the senders an
+    aggregator replaces must leave the target's dynamic references too, so
+    the executor mails none of them."""
+    parts, eqs, _ = fig3_setup()
+    plans = [
+        apply_refinement(initial_plan(p, eqs), refine_communication(p, eqs, {}))
+        for p in parts
+    ]
+    updated = aggregation_pushdown(plans, 0, {"min": min_contract()})
+    owner = next(p for p in updated if p.partition.id == 0)
+    assert owner.per_agent[0].refined.dynamic == (StateRef(1),)
+    assert owner.pushdown_replaced[0] == frozenset({2, 3})
+
+
+def test_pushdown_requires_refinement():
+    parts, eqs, _ = fig3_setup()
+    plans = [initial_plan(p, eqs) for p in parts]
+    with pytest.raises(PipelineOrderError):
+        aggregation_pushdown(plans, 0, {"min": min_contract()})
+
+
 def test_validate_options_dependencies():
     validate_options(frozenset({"merge", "cache", "remote"}))
     with pytest.raises(PipelineOrderError):
@@ -299,29 +298,22 @@ def test_every_ablation_mode_gives_identical_gol_states():
     assert len(checksums) == 1
 
 
-def test_rewritten_forest_has_no_remote_accessors():
-    """With every reference static and caches rewritten, the merged trees
-    interact only with local state and local cache offsets."""
-    from fuseforge.equations import CacheOffset
-
-    plans = [merge_plan(rewrite_local(rewrite_remote(p))) for p in _refined_plans()]
-    for plan in plans:
-        assert all(accessor == "local" for _, accessor in plan.merged_forest.leaves)
-    plan0 = next(p for p in plans if p.partition.id == 0)
-    offsets = [
-        src for src, _ in plan0.merged_forest.leaves if isinstance(src, CacheOffset)
-    ]
-    assert CacheOffset((1, 0), 0) in offsets
-    assert CacheOffset((1, 0), 1) in offsets
-
-
-def test_aggregator_staged_fold_expression():
-    from fuseforge.optimizer import PartialFold
-
-    plans = _refined_plans()
-    updated = aggregation_pushdown(plans, 0, {"min": min_contract()})
-    agg = next(p for p in updated if p.partition.id == 1).aggregators[0]
-    staged = agg.staged
-    assert isinstance(staged, PartialFold)
-    assert staged.via == "min"
-    assert tuple(e.target.agent_id for e in staged.inputs) == (2, 3)
+def test_rewritten_program_reads_only_local_state():
+    """With every reference static, each mode that stages local reads leaves
+    the compiled program no mailbox route: no logical messages, and one wire
+    unit per directed cache per round."""
+    wl = build_gol(12, 12, seed=5)
+    parts = partition_greedy(wl.graph, 36, seed=5)
+    rounds = 4
+    for mode in ("+local", "full", "full+pushdown"):
+        plans = default_pipeline(parts, wl.equations, wl.static_marks, MODE_PASSES[mode],
+                                 contracts=wl.contracts)
+        engine = Engine(wl, plans)
+        assert all(not to for to in engine.local_to), mode
+        assert all(not to for to in engine.cross_to), mode
+        _, metrics = engine.run(rounds)
+        assert metrics.logical_messages_per_round == [0] * rounds, mode
+        assert metrics.wire_units_per_round == [engine.cache_count] * rounds, mode
+    plans = default_pipeline(parts, wl.equations, wl.static_marks, MODE_PASSES["unopt"])
+    _, metrics = Engine(wl, plans).run(rounds)
+    assert min(metrics.logical_messages_per_round) > 0

@@ -10,7 +10,7 @@ from fuseforge.equations import BehavioralEquation, ComputeMethodContract, State
 from fuseforge.errors import ContractError, CoverageError
 from fuseforge.graphgen import Graph, build_partitions, partition_greedy
 from fuseforge.optimizer import MODE_PASSES, default_pipeline
-from fuseforge.runtime import Engine, deliver, execute, wire_message_count
+from fuseforge.runtime import Engine, deliver, execute
 from fuseforge.workloads import Workload, build_gol, gol_contract, state_checksum
 
 
@@ -148,8 +148,7 @@ def test_single_partition_zero_wire_units():
     parts = partition_greedy(wl.graph, 36, seed=2)
     for mode in ("unopt", "full"):
         _, metrics = execute(wl, gol_plans(wl, parts, mode), rounds=3)
-        _, wire = wire_message_count(metrics)
-        assert wire == [0, 0, 0]
+        assert metrics.wire_units_per_round == [0, 0, 0]
 
 
 def test_one_cache_is_one_wire_unit_per_round():

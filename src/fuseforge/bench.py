@@ -401,9 +401,9 @@ def _oracle_reduce(args: argparse.Namespace) -> int:
     for s in result.irreducible:
         env = {repr(k): v for k, v in sorted(final_values(s).items(), key=lambda kv: repr(kv[0]))}
         print(f"irreducible steps={s.step_count} values={env} process={s.process!r}")
+    print(f"explored {result.explored} states")
     if result.non_terminating:
-        print(f"non-terminating: frontier still active after bound "
-              f"(explored {result.explored} states)")
+        print("non-terminating: frontier still active after bound")
     return 0
 
 

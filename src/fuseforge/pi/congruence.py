@@ -14,22 +14,23 @@
   the renamed term is canonicalized again until it is stable, so the result
   does not depend on the text of bound names.
 
-Restriction chains are ordered by colour refinement (the partition-refinement
-step of nauty/Traces): each live chain name is coloured by the sorted keys of
-the components it occurs in, with itself marked and the other chain names
-shown by their current colours, and colours are refined until the number of
-classes stops growing.  Classes are laid out in colour order; only names that
-share a class are permuted, and the lexicographically least serialization
-among those orderings wins.  Colours come from alpha-insensitive keys, so the
-choice is canonical.  Chains longer than ``PERM_LIMIT`` keep their input order.
-That approximation can leave one congruence class with several
-representatives (duplicate states in a search, never wrong ones); the
-two-core translated system reaches it through its six-name top-level chain.
+Restriction chains are ordered by individualization-refinement (McKay &
+Piperno, "Practical graph isomorphism, II", 2014): each live chain name is
+coloured by the sorted keys of the components it occurs in, with itself
+marked and the other chain names shown by their current colours, and colours
+are refined until the number of classes stops growing.  While a class still
+holds several names, each member of the lowest such class is individualized
+in turn and the colouring refined again; the member whose certificate is
+least is kept.  Colours come from alpha-insensitive keys, so the order is
+canonical, with one limit: names that tie even after individualization are
+ordered by their text, so such a class can keep more than one
+representative (duplicate states in a search, never wrong ones).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 
 from ..errors import StructuralError
@@ -57,7 +58,6 @@ from .process import (
     TOP,
 )
 
-PERM_LIMIT = 5
 _MAX_PASSES = 16
 
 
@@ -217,7 +217,7 @@ def normalize(p: PiProcess) -> PiProcess:
     cur = p
     trail: list[PiProcess] = []
     for _ in range(_MAX_PASSES):
-        canon = _canon_fixpoint(cur)
+        canon = _canon_region(cur)
         if trail and canonical_key(canon) == canonical_key(cur):
             break  # a renamed form that canonicalization keeps up to alpha
         nxt = _rename_canonical(canon)
@@ -228,24 +228,6 @@ def normalize(p: PiProcess) -> PiProcess:
         cur = nxt
     _RENAMED_BY_KEY[key] = cur
     _RENAMED_BY_KEY.setdefault(canonical_key(cur), cur)
-    return cur
-
-
-def _canon_fixpoint(p: PiProcess) -> PiProcess:
-    """Repeat region canonicalization until the alpha-insensitive key is stable."""
-    cur = p
-    key = canonical_key(cur)
-    trail: list[tuple[str, PiProcess]] = []
-    for _ in range(_MAX_PASSES):
-        nxt = _canon_region(cur)
-        nxt_key = canonical_key(nxt)
-        if nxt_key == key:
-            return nxt
-        cycle_at = next((i for i, (k, _) in enumerate(trail) if k == nxt_key), None)
-        if cycle_at is not None:
-            return min([t[1] for t in trail[cycle_at:]] + [cur, nxt], key=canonical_key)
-        trail.append((key, cur))
-        cur, key = nxt, nxt_key
     return cur
 
 
@@ -260,76 +242,75 @@ def _canon_region(p: PiProcess) -> PiProcess:
     if not kids:
         return NIL
     live = [n for n in chain if any(name_is_free(n, k) for k in kids)]
-    if len(live) <= PERM_LIMIT:
-        perms = _candidate_orderings(live, kids)
-    else:
-        perms = [tuple(live)]
-    # Orderings of the chain only change the tokens chain names take inside
-    # kid keys, so the sorted kid-key tuple is a faithful proxy for comparing
-    # whole-candidate serializations; only the winners get built.
-    scored: list[tuple[tuple[str, ...], tuple[Name, ...], list[PiProcess]]] = []
-    for perm in perms:
-        env = {n: f"r!{i}" for i, n in enumerate(perm)} if live else None
-        pairs = _sort_kids(kids, env)
-        scored.append((tuple(k for k, _ in pairs), perm, [p for _, p in pairs]))
-    least = min(s[0] for s in scored)
-    tied = [(nu(perm, par(*ordered))) for proxy, perm, ordered in scored if proxy == least]
-    if len(tied) == 1:
-        return tied[0]
-    # repr tie-breaks alpha-variant candidates the de Bruijn key cannot
-    # distinguish (e.g. permuting restrictions over an opaque identifier)
-    return min(tied, key=lambda c: (canonical_key(c), repr(c)))
+    order = _chain_order(live, kids)
+    env = {n: f"r!{i}" for i, n in enumerate(order)} if order else None
+    return nu(order, par(*_sort_kids(kids, env)))
 
 
-def _candidate_orderings(live: list[Name], kids: list[PiProcess]) -> list[tuple[Name, ...]]:
-    """Chain orderings worth scoring, found by colour refinement.
+def _chain_order(live: list[Name], kids: list[PiProcess]) -> tuple[Name, ...]:
+    """The canonical order of a chain's live names, by individualization-refinement.
+
+    An individualized name gets its own colour just below the rest of its
+    class; its certificate is the sorted kid keys, after refinement, with
+    every name rendered as its colour.  A chain can repeat a name
+    (restrictions over identifier scopes keep their name); the copies share
+    a colour.
+    """
+    names = list(dict.fromkeys(live))
+    if len(names) < 2:
+        return tuple(live)
+    occurs = {n: [k for k in kids if name_is_free(n, k)] for n in names}
+    colour = _refine(names, occurs, dict.fromkeys(names, 0))
+    while True:
+        counts = Counter(colour.values())
+        tied = min((c for c, size in counts.items() if size > 1), default=None)
+        if tied is None:
+            return tuple(sorted(live, key=colour.__getitem__))
+        best = None
+        for n in [m for m in names if colour[m] == tied]:
+            trial = {m: c if c < tied or m == n else c + 1 for m, c in colour.items()}
+            trial = _refine(names, occurs, trial)
+            env = {m: f"c!{trial[m]}" for m in names}
+            cert = (sorted(canonical_key(k, env) for k in kids), repr(n))
+            if best is None or cert < best[0]:
+                best = (cert, trial)
+        colour = best[1]
+
+
+def _refine(
+    names: list[Name], occurs: dict[Name, list[PiProcess]], colour: dict[Name, int]
+) -> dict[Name, int]:
+    """Split colour classes until their number stops growing.
 
     A name's signature is its colour plus the sorted keys of the kids it
-    occurs in, rendered with the name itself as ``*`` and every other live
-    name as its current colour; colours are the ranks of distinct
-    signatures.  Once the class count stops growing, classes are laid out in
-    colour order and only names sharing a class are permuted.
+    occurs in, rendered with the name itself as ``*`` and every other name
+    as its current colour; new colours are the ranks of distinct
+    signatures, so classes keep their relative order.
     """
-    if len(live) <= 1:
-        return [tuple(live)]
-    occurs = {n: [k for k in kids if name_is_free(n, k)] for n in live}
-    colour = dict.fromkeys(live, 0)
-    classes = 1
-    while True:
+    classes = len(set(colour.values()))
+    while classes < len(names):
         sigs = {}
-        for n in live:
-            env = {m: f"c!{colour[m]}" for m in live}
+        for n in names:
+            env = {m: f"c!{colour[m]}" for m in names}
             env[n] = "*"
             sigs[n] = (colour[n], tuple(sorted(canonical_key(k, env) for k in occurs[n])))
         rank = {s: i for i, s in enumerate(sorted(set(sigs.values())))}
-        colour = {n: rank[sigs[n]] for n in live}
-        grown = len(rank) > classes
-        classes = len(rank)
-        if not grown or classes == len(live):
+        colour = {n: rank[sigs[n]] for n in names}
+        if len(rank) == classes:
             break
-    groups = [[n for n in live if colour[n] == c] for c in range(classes)]
-    return [
-        tuple(itertools.chain.from_iterable(choice))
-        for choice in itertools.product(*(itertools.permutations(g) for g in groups))
-    ]
+        classes = len(rank)
+    return colour
 
 
-def _sort_kids(
-    kids: list[PiProcess], env: dict[Name, str] | None
-) -> list[tuple[str, PiProcess]]:
-    keyed = sorted(((canonical_key(k, env), i, k) for i, k in enumerate(kids)),
-                   key=lambda t: t[0])
-    ordered: list[tuple[str, PiProcess]] = []
-    i = 0
-    while i < len(keyed):
-        j = i
-        while j < len(keyed) and keyed[j][0] == keyed[i][0]:
-            j += 1
-        group = [t[2] for t in keyed[i:j]]
+def _sort_kids(kids: list[PiProcess], env: dict[Name, str] | None) -> list[PiProcess]:
+    """Kids by key under ``env``; kids with equal keys by ``repr``."""
+    keyed = sorted(((canonical_key(k, env), k) for k in kids), key=lambda t: t[0])
+    ordered: list[PiProcess] = []
+    for _, run in itertools.groupby(keyed, key=lambda t: t[0]):
+        group = [k for _, k in run]
         if len(group) > 1:
             group.sort(key=repr)
-        ordered.extend((keyed[i][0], g) for g in group)
-        i = j
+        ordered.extend(group)
     return ordered
 
 

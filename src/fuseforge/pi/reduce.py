@@ -242,10 +242,7 @@ def reduce_all(
     def key_of(s: ReductionState) -> tuple[str, tuple]:
         return canonical_key(s.process), s.value_env
 
-    start = replace(
-        state.with_process(normalize(state.process), state.env()),
-        step_count=state.step_count,
-    )
+    start = replace(state, process=normalize(state.process))
     frontier: dict[tuple, ReductionState] = {key_of(start): start}
     visited: set[tuple] = set(frontier)
     irreducible: dict[tuple, ReductionState] = {}
@@ -263,8 +260,7 @@ def reduce_all(
                 continue
             canons = []
             for succ in successors:
-                canon = succ.with_process(normalize(succ.process), succ.env())
-                canon = replace(canon, step_count=succ.step_count)
+                canon = replace(succ, process=normalize(succ.process))
                 canons.append((key_of(canon), canon))
             # expand in a fixed order, so a search cut off by max_states
             # explores the same states whatever the set's iteration order

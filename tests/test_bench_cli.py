@@ -143,6 +143,7 @@ def test_cli_entrypoint_oracle_reduce(tmp_path):
     assert proc.returncode == 0
     assert "irreducible steps=3" in proc.stdout
     assert "'o': 6" in proc.stdout
+    assert "explored 4 states" in proc.stdout
 
 
 def test_cli_rejects_unknown_mode_with_usage_error():

@@ -160,9 +160,16 @@ def test_duplicate_binders_rejected():
 # Chain orderer against the brute-force reference ----------------------------
 
 
-def brute_force_orderings(live, kids):
-    """Reference orderer: score every permutation of the live chain."""
-    return list(itertools.permutations(live))
+def brute_force_order(live, kids):
+    """Reference orderer: the permutation of the live chain whose kids
+    serialize least, ties broken by the built candidate's key and repr."""
+
+    def score(perm):
+        env = {n: f"r!{i}" for i, n in enumerate(perm)}
+        built = nu(perm, par(*congruence._sort_kids(kids, env)))
+        return sorted(canonical_key(k, env) for k in kids), canonical_key(built), repr(built)
+
+    return min(itertools.permutations(live), key=score)
 
 
 def _orderer_corpus():
@@ -194,7 +201,7 @@ def _cold_normal_forms(procs, orderer=None):
             m.setattr(congruence, memo, lru_cache(maxsize=None)(fn))
         m.setattr(congruence, "_RENAMED_BY_KEY", {})
         if orderer is not None:
-            m.setattr(congruence, "_candidate_orderings", orderer)
+            m.setattr(congruence, "_chain_order", orderer)
         return [congruence.normalize(p) for p in procs]
 
 
@@ -212,7 +219,7 @@ def test_refinement_orderer_agrees_with_brute_force():
     procs = _orderer_corpus()
     refined = _cold_normal_forms(procs)
     classes = _classes(refined)
-    assert classes == _classes(_cold_normal_forms(procs, brute_force_orderings))
+    assert classes == _classes(_cold_normal_forms(procs, brute_force_order))
     # every rewrite joins its original, and distinct processes stay apart
     assert all(refined[i] == refined[i + 1] for i in range(0, len(procs), 2))
     assert len(classes) > len(procs) // 4
@@ -227,10 +234,10 @@ def _links(pairs):
 
 def test_refinement_runs_until_classes_stop_growing():
     """The ends of a path differ in one round, the inner names only in the
-    next: refinement must run to its fixpoint to leave a single ordering."""
+    next: refinement must run to its fixpoint to order the path."""
     d = name("d")
     kids = _links([(a, b), (b, c), (c, d)])
-    assert len(congruence._candidate_orderings([c, a, d, b], kids)) == 1
+    assert congruence._chain_order([c, a, d, b], kids) == (a, b, c, d)
 
 
 def test_refinement_ties_are_broken_canonically():
@@ -247,3 +254,39 @@ def test_refinement_ties_are_broken_canonically():
     assert len(forms) == 1
     five_cycle = _links([(a, b), (b, c), (c, d), (d, e), (e, a)])
     assert normalize(nu((a, b, c, d, e), par(*five_cycle))) not in forms
+
+
+def _shuffled_forms(names, kids, shuffles=12):
+    rng = random.Random(8)
+    return {
+        normalize(nu(rng.sample(names, len(names)), par(*rng.sample(kids, len(kids)))))
+        for _ in range(shuffles)
+    }
+
+
+def test_long_chains_have_one_normal_form():
+    """Chains of eight and seven names normalize to one form from any chain
+    and component order: refinement alone orders a directed path, and
+    individualization splits the tied classes of two cycles and a path."""
+    n = [name(f"n{i}") for i in range(8)]
+    path = _links([(n[i], n[i + 1]) for i in range(7)])
+    assert len(_shuffled_forms(n, path)) == 1
+    mix = _links([(n[0], n[1]), (n[1], n[0]),
+                  (n[2], n[3]), (n[3], n[4]), (n[4], n[2]),
+                  (n[5], n[6])])
+    assert len(_shuffled_forms(n[:7], mix)) == 1
+
+
+@pytest.mark.parametrize("shape", ["symmetric-12", "complete-10"])
+def test_symmetric_chains_normalize_without_factorial_search(shape):
+    """Every name ties with every other: ordering them must take
+    polynomially many refinements, not a search over permutations."""
+    if shape == "symmetric-12":
+        n = [name(f"n{i}") for i in range(12)]
+        kids = [out(x, m) for m in n]
+    else:
+        n = [name(f"n{i}") for i in range(10)]
+        kids = _links([(u, v) for u in n for v in n if u != v])
+    form = normalize(nu(n, par(*kids)))
+    congruence.clear_caches()
+    assert normalize(form) == form

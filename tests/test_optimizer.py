@@ -197,7 +197,7 @@ def test_pass_idempotence():
     assert rewrite_local(local_once).plan_key() == local_once.plan_key()
 
 
-def test_merge_orders_ascending_and_shares_leaves():
+def test_merge_orders_ascending():
     plans = _refined_plans()
     merged = merge_plan(plans[0])
     assert merged.merged_order == (0, 1)

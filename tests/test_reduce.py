@@ -171,6 +171,8 @@ def test_two_core_two_superstep_oracle():
     finals = result.final_value_sets([name("p5"), name("p6")])
     assert all(fv == {name("p5"): 12, name("p6"): -10} for fv in finals)
     assert {s.step_count for s in result.irreducible} == {16}
+    # one state per congruence class: no class keeps two representatives
+    assert result.explored == 57
 
 
 def test_three_equation_superstep_deterministic():

@@ -69,11 +69,6 @@ def check_tag(tag: TypeTag, value) -> bool:
     return True
 
 
-def identity(message):
-    """Default deserialize when in/out message types coincide."""
-    return message
-
-
 @dataclass(frozen=True)
 class ComputeMethodContract:
     """Combinator bundle defining one compute method.
@@ -91,7 +86,6 @@ class ComputeMethodContract:
     state_to_message: Callable[[object], object]
     partial_compute: Callable[[list], object | None]
     update_state: Callable[[object, object | None], object]
-    deserialize: Callable[[object], object] = identity
     associative: bool = False
     commutative: bool = False
     sample_message: Callable[[random.Random], object] | None = None

@@ -11,6 +11,7 @@ function plan -> plan, so ablation subsets run as first-class modes.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -39,46 +40,24 @@ MODE_PASSES: dict[str, frozenset[str]] = {
 
 @dataclass(frozen=True)
 class RefinedNeighbors:
-    local_static: tuple[StateRef, ...]
-    remote_static: tuple[tuple[StateRef, int], ...]  # (ref, partition)
-    dynamic: tuple[StateRef, ...]
+    """One agent's references by source agent id."""
+
+    local_static: tuple[int, ...]  # ascending
+    remote_static: tuple[tuple[int, int], ...]  # (source, its partition), ascending
+    dynamic: tuple[int, ...]  # in equation order
 
 
 @dataclass(frozen=True)
 class MessageCache:
-    """Id-ordered slot buffer standing in for one partition's boundary agents
-    as read by one other partition; the executor lays the slots out in its
-    message buffer."""
+    """Slot buffer standing in for one partition's boundary agents as read
+    by one other partition: slot k holds the message of agent ``schema[k]``."""
 
     source_partition: int
     dest_partition: int
-    schema: tuple[StateRef, ...]  # sorted ascending by agent id
-    offset_of: dict[StateRef, int] = field(compare=False)
+    schema: tuple[int, ...]  # ascending agent ids
 
     def __len__(self) -> int:
         return len(self.schema)
-
-
-def _make_cache(src: int, dst: int, refs) -> MessageCache:
-    schema = tuple(sorted(set(refs), key=lambda r: r.agent_id))
-    return MessageCache(src, dst, schema, {r: i for i, r in enumerate(schema)})
-
-
-# Staged expressions ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CacheRead:
-    cache: tuple[int, int]
-    offset: int
-    source_agent: int
-
-
-@dataclass(frozen=True)
-class LocalRead:
-    """Read of a same-partition agent's previous-round message."""
-
-    target: StateRef
 
 
 @dataclass(frozen=True)
@@ -104,7 +83,9 @@ class Aggregator:
 class AgentPlan:
     equation: BehavioralEquation
     refined: RefinedNeighbors | None = None
-    staged: tuple[CacheRead | LocalRead, ...] = ()
+    # sources read from the previous round's messages, ascending; members
+    # were staged by rewrite_local, non-members by rewrite_remote
+    staged: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -158,26 +139,25 @@ def refine_communication(
         if eq is None:
             raise DanglingReferenceError(f"no equation for agent {agent}")
         marks = static_marks.get(agent, set())
-        local_static: list[StateRef] = []
-        remote_static: list[tuple[StateRef, int]] = []
-        dynamic: list[StateRef] = []
+        local_static: list[int] = []
+        remote_static: list[tuple[int, int]] = []
+        dynamic: list[int] = []
         for ref in eq.reference_set:
+            src = ref.agent_id
             if ref not in marks:
-                dynamic.append(ref)
-            elif ref.agent_id in members:
-                local_static.append(ref)
+                dynamic.append(src)
+            elif src in members:
+                local_static.append(src)
             else:
-                pid = remote_pid.get((agent, ref.agent_id))
+                pid = remote_pid.get((agent, src))
                 if pid is None:
                     raise DanglingReferenceError(
                         f"agent {agent} statically references {ref!r}, which is "
                         f"neither local nor a known cross-partition neighbor"
                     )
-                remote_static.append((ref, pid))
+                remote_static.append((src, pid))
         refined[agent] = RefinedNeighbors(
-            tuple(sorted(local_static, key=lambda r: r.agent_id)),
-            tuple(sorted(remote_static, key=lambda rp: rp[0].agent_id)),
-            tuple(dynamic),
+            tuple(sorted(local_static)), tuple(sorted(remote_static)), tuple(dynamic)
         )
     return refined
 
@@ -193,13 +173,16 @@ def synthesize_caches(
     refined_by_partition: dict[int, dict[int, RefinedNeighbors]],
 ) -> dict[tuple[int, int], MessageCache]:
     """One cache per directed partition pair with at least one static remote
-    reference; schemas sorted by agent id for offset lookups."""
-    wanted: dict[tuple[int, int], set[StateRef]] = {}
+    reference; its schema holds each referenced source once, ascending."""
+    wanted: dict[tuple[int, int], set[int]] = {}
     for dst_pid, refined in refined_by_partition.items():
         for rn in refined.values():
-            for ref, src_pid in rn.remote_static:
-                wanted.setdefault((src_pid, dst_pid), set()).add(ref)
-    return {key: _make_cache(key[0], key[1], refs) for key, refs in sorted(wanted.items())}
+            for src, src_pid in rn.remote_static:
+                wanted.setdefault((src_pid, dst_pid), set()).add(src)
+    return {
+        (src_pid, dst_pid): MessageCache(src_pid, dst_pid, tuple(sorted(sources)))
+        for (src_pid, dst_pid), sources in sorted(wanted.items())
+    }
 
 
 def register_caches(
@@ -217,41 +200,38 @@ def rewrite_remote(plan: PartitionPlan) -> PartitionPlan:
     if "cache" not in plan.passes:
         raise PipelineOrderError("rewrite_remote requires synthesize_caches first")
     pid = plan.partition.id
+    members = plan.partition.member_set
     per_agent = {}
     for agent, ap in plan.per_agent.items():
         if ap.refined is None:
             raise PipelineOrderError("rewrite_remote requires refine_communication first")
-        reads = [e for e in ap.staged if not isinstance(e, CacheRead)]
-        for ref, src_pid in ap.refined.remote_static:
+        reads = [s for s in ap.staged if s in members]
+        for src, src_pid in ap.refined.remote_static:
             cache = plan.inbound_caches.get((src_pid, pid))
-            if cache is None:
+            schema = cache.schema if cache is not None else ()
+            slot = bisect_left(schema, src)
+            if slot == len(schema) or schema[slot] != src:
                 raise PipelineOrderError(
-                    f"no cache for static remote reference {ref!r} from partition {src_pid}"
+                    f"no cache slot for agent {agent}'s static remote reference "
+                    f"to agent {src} of partition {src_pid}"
                 )
-            reads.append(CacheRead((src_pid, pid), cache.offset_of[ref], ref.agent_id))
-        per_agent[agent] = replace(ap, staged=_sort_reads(reads))
+            reads.append(src)
+        per_agent[agent] = replace(ap, staged=tuple(sorted(reads)))
     return replace(plan, per_agent=per_agent, passes=plan.passes | {"remote"})
 
 
 def rewrite_local(plan: PartitionPlan) -> PartitionPlan:
     """Turn static local references into direct reads of the previous
     round's messages; no mailbox messages are materialized for them."""
+    members = plan.partition.member_set
     per_agent = {}
     for agent, ap in plan.per_agent.items():
         if ap.refined is None:
             raise PipelineOrderError("rewrite_local requires refine_communication first")
-        reads = [e for e in ap.staged if not isinstance(e, LocalRead)]
-        reads.extend(LocalRead(ref) for ref in ap.refined.local_static)
-        per_agent[agent] = replace(ap, staged=_sort_reads(reads))
+        reads = [s for s in ap.staged if s not in members]
+        reads.extend(ap.refined.local_static)
+        per_agent[agent] = replace(ap, staged=tuple(sorted(reads)))
     return replace(plan, per_agent=per_agent, passes=plan.passes | {"local"})
-
-
-def _read_source(e: CacheRead | LocalRead) -> int:
-    return e.source_agent if isinstance(e, CacheRead) else e.target.agent_id
-
-
-def _sort_reads(reads) -> tuple[CacheRead | LocalRead, ...]:
-    return tuple(sorted(reads, key=_read_source))
 
 
 def merge_plan(plan: PartitionPlan) -> PartitionPlan:
@@ -311,15 +291,11 @@ def aggregation_pushdown(
             refined = replace(
                 ap.refined,
                 remote_static=tuple(
-                    (r, pid) for r, pid in ap.refined.remote_static
-                    if r.agent_id not in replaced
+                    sp for sp in ap.refined.remote_static if sp[0] not in replaced
                 ),
-                dynamic=tuple(r for r in ap.refined.dynamic if r.agent_id not in replaced),
+                dynamic=tuple(s for s in ap.refined.dynamic if s not in replaced),
             )
-            staged = tuple(
-                e for e in ap.staged
-                if not (isinstance(e, CacheRead) and e.source_agent in replaced)
-            )
+            staged = tuple(s for s in ap.staged if s not in replaced)
             per_agent = {**plan.per_agent, target: replace(ap, refined=refined, staged=staged)}
             plan = replace(plan, per_agent=per_agent,
                            pushdown_replaced={**plan.pushdown_replaced,

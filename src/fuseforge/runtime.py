@@ -3,15 +3,15 @@
 Execution follows the synchronous BSP contract: messages sent in superstep t
 are readable only in t+1.  Every agent's out-message of the previous round
 lives in one flat message buffer of n entries, indexed by agent id.  A
-staged read (local read, cache read, or a cache slot the receiver reads
-without the remote pass) is the index of its source agent: a cache slot
-holds exactly its source's message, so it aliases that entry, and caches
-remain only the wire-unit model.  An agent's inputs are one gather over its
-indices plus its mailbox.  Agents write the next round's buffer, which swaps
-with the previous one at the barrier; agent values are updated in place,
-since no agent reads another's value directly.  The buffer and the
-mailboxes are seeded with each agent's initial-value message, so staged
-reads at superstep 0 match message-passing mode exactly.
+staged read, and a cache slot the receiver reads without the remote pass,
+is the id of its source agent: a cache slot holds exactly its source's
+message, so it aliases that entry, and caches remain only the wire-unit
+model.  An agent's inputs are one gather over its indices plus its mailbox.
+Agents write the next round's buffer, which swaps with the previous one at
+the barrier; agent values are updated in place, since no agent reads
+another's value directly.  The buffer and the mailboxes are seeded with each
+agent's initial-value message, so staged reads at superstep 0 match
+message-passing mode exactly.
 
 Determinism: order-sensitive contracts consume their inputs in ascending
 sender order, per-agent RNG streams live inside agent values, and
@@ -27,9 +27,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .equations import ComputeMethodContract, check_tag, identity
+from .equations import ComputeMethodContract, check_tag
 from .errors import ContractError, CoverageError
-from .optimizer import CacheRead, LocalRead, PartitionPlan, RefinedNeighbors
+from .optimizer import PartitionPlan, RefinedNeighbors
 
 _sender = itemgetter(0)
 
@@ -64,19 +64,16 @@ def deliver(
     raw: list[tuple[int, object]],
     receiver: int | None = None,
 ) -> list[object]:
-    """Deserialize a mailbox batch in ascending-sender order.
-
-    Payloads from negative (system) senders are already in-messages.
-    """
+    """A mailbox batch's payloads in ascending-sender order, each checked
+    against the contract's in-message type."""
     msgs = []
-    for sender, payload in sorted(raw, key=lambda sp: sp[0]):
-        value = payload if sender < 0 else contract.deserialize(payload)
-        if not check_tag(contract.in_message_type, value):
+    for sender, payload in sorted(raw, key=_sender):
+        if not check_tag(contract.in_message_type, payload):
             raise ContractError(
-                f"message {value!r} from sender {sender} to receiver {receiver} "
+                f"message {payload!r} from sender {sender} to receiver {receiver} "
                 f"does not match in-message type {contract.in_message_type}"
             )
-        msgs.append(value)
+        msgs.append(payload)
     return msgs
 
 
@@ -116,23 +113,19 @@ class Engine:
             pid = plan.partition.id
             for a, ap in plan.per_agent.items():
                 self.contract_of[a] = workload.contracts[ap.equation.compute]
-                rn = ap.refined or RefinedNeighbors((), (), ap.equation.reference_set)
-                gather: list[int] = []
-                for e in ap.staged:
-                    if isinstance(e, LocalRead):
-                        gather.append(e.target.agent_id)
-                    elif isinstance(e, CacheRead):
-                        gather.append(e.source_agent)
+                rn = ap.refined or RefinedNeighbors(
+                    (), (), tuple(r.agent_id for r in ap.equation.reference_set))
+                gather = list(ap.staged)
                 staged = set(gather)
-                mail = [r.agent_id for r in rn.local_static if r.agent_id not in staged]
-                for ref, src_pid in rn.remote_static:
-                    if ref.agent_id in staged:
+                mail = [s for s in rn.local_static if s not in staged]
+                for src, src_pid in rn.remote_static:
+                    if src in staged:
                         continue
                     if (src_pid, pid) in caches:  # cached but not rewritten: read the slot
-                        gather.append(ref.agent_id)
+                        gather.append(src)
                     else:
-                        mail.append(ref.agent_id)
-                mail.extend(r.agent_id for r in rn.dynamic)
+                        mail.append(src)
+                mail.extend(rn.dynamic)
                 self.reads[a] = tuple(sorted(gather))
                 for s in mail:
                     (self.local_to if self.partition_of[s] == pid else self.cross_to)[s].append(a)
@@ -228,7 +221,7 @@ class Engine:
         for agg in self.aggregators:
             target = agg.target_agent
             c = self.contract_of[target]
-            batch = [c.deserialize(outs[s]) for s in agg.senders if outs[s] is not None]
+            batch = [outs[s] for s in agg.senders if outs[s] is not None]
             partial = c.partial_compute(batch) if batch else None
             if partial is not None:
                 mailbox[target].append((agg.ref.synthetic_id, partial))
@@ -244,7 +237,6 @@ class Engine:
 
         for agent in self.exec_order[idx]:
             c = contract_of[agent]
-            deser = c.deserialize
             indices = reads[agent]
             msgs = [prev[i] for i in indices]
             inbox = mailbox[agent]
@@ -259,14 +251,9 @@ class Engine:
                 inbox.clear()
             elif None in msgs:
                 msgs = [m for m in msgs if m is not None]
-            if deser is not identity:
-                msgs = [deser(m) for m in msgs]
             if inbox:
                 # commutative fold: mail is consumed in arrival order
-                if deser is identity:
-                    msgs.extend([p for _, p in inbox])
-                else:
-                    msgs.extend([p if s < 0 else deser(p) for s, p in inbox])
+                msgs.extend([p for _, p in inbox])
                 inbox.clear()
 
             folded = c.partial_compute(msgs) if msgs else None

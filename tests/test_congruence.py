@@ -242,8 +242,8 @@ def test_refinement_runs_until_classes_stop_growing():
 
 def test_refinement_ties_are_broken_canonically():
     """A 2-cycle plus a 3-cycle of links gives every name the same colour
-    although no symmetry swaps the cycles; permuting the tied class must
-    still reach one representative from any chain and component order."""
+    although no symmetry swaps the cycles; individualization must split the
+    tied class into one representative from any chain and component order."""
     d, e = name("d"), name("e")
     kids = _links([(a, b), (b, a), (c, d), (d, e), (e, c)])
     rng = random.Random(3)

@@ -9,8 +9,7 @@ from fuseforge.errors import AlgebraicPreconditionError, PipelineOrderError
 from fuseforge.graphgen import Graph, build_partitions, erm, partition_greedy
 from fuseforge.optimizer import (
     MODE_PASSES,
-    CacheRead,
-    LocalRead,
+    MessageCache,
     aggregation_pushdown,
     apply_refinement,
     default_pipeline,
@@ -70,8 +69,8 @@ def test_refine_fig3_classification():
     parts, eqs, marks = fig3_setup()
     refined = refine_communication(parts[0], eqs, marks)
     rn = refined[0]
-    assert rn.local_static == (StateRef(1),)
-    assert rn.remote_static == ((StateRef(2), 1), (StateRef(3), 1))
+    assert rn.local_static == (1,)
+    assert rn.remote_static == ((2, 1), (3, 1))
     assert rn.dynamic == ()
 
 
@@ -88,7 +87,7 @@ def test_refine_unmarked_references_are_dynamic():
     parts, eqs, _ = fig3_setup()
     refined = refine_communication(parts[0], eqs, {})
     assert all(rn.local_static == () and rn.remote_static == () for rn in refined.values())
-    assert refined[0].dynamic == eqs[0].reference_set
+    assert refined[0].dynamic == tuple(r.agent_id for r in eqs[0].reference_set)
 
 
 def test_synthesize_fig3_cache_schema_and_offsets():
@@ -96,9 +95,9 @@ def test_synthesize_fig3_cache_schema_and_offsets():
     refined = {p.id: refine_communication(p, eqs, marks) for p in parts}
     caches = synthesize_caches(refined)
     cache = caches[(1, 0)]  # partition 1's boundary agents read by partition 0
-    assert cache.schema == (StateRef(2), StateRef(3))
-    assert cache.offset_of[StateRef(2)] == 0
-    assert cache.offset_of[StateRef(3)] == 1
+    assert cache.schema == (2, 3)
+    assert cache.schema.index(2) == 0
+    assert cache.schema.index(3) == 1
 
 
 def test_synthesize_no_cross_references_no_caches():
@@ -123,12 +122,14 @@ def test_cache_resolution_total_and_injective_on_erm():
     refined = {p.id: refine_communication(p, eqs, marks) for p in parts}
     caches = synthesize_caches(refined)
     assert len(caches) <= 90  # at most 10 * 9 directed pairs
+    for cache in caches.values():
+        assert list(cache.schema) == sorted(set(cache.schema))
     for pid, agent_map in refined.items():
         for agent, rn in agent_map.items():
             offsets = set()
-            for ref, src in rn.remote_static:
+            for source, src in rn.remote_static:
                 cache = caches[(src, pid)]
-                off = cache.offset_of[ref]  # total
+                off = cache.schema.index(source)  # total
                 assert (src, off) not in offsets  # injective per reader
                 offsets.add((src, off))
 
@@ -148,8 +149,20 @@ def test_rewrite_remote_fig3_offsets():
     plans = _refined_plans()
     plan0 = rewrite_remote(plans[0])
     staged = plan0.per_agent[0].staged
-    cache_reads = [e for e in staged if isinstance(e, CacheRead)]
-    assert [(e.cache, e.offset) for e in cache_reads] == [((1, 0), 0), ((1, 0), 1)]
+    cache_reads = [s for s in staged if s not in plan0.partition.member_set]
+    assert cache_reads == [2, 3]
+    schema = plan0.inbound_caches[(1, 0)].schema
+    assert [schema.index(s) for s in cache_reads] == [0, 1]
+
+
+@pytest.mark.parametrize("schema", [None, (3,), (2,)], ids=["no-cache", "lacks-2", "lacks-3"])
+def test_rewrite_remote_needs_a_slot_for_every_static_remote(schema):
+    from dataclasses import replace
+
+    plan0 = _refined_plans()[0]
+    inbound = {} if schema is None else {(1, 0): MessageCache(1, 0, schema)}
+    with pytest.raises(PipelineOrderError):
+        rewrite_remote(replace(plan0, inbound_caches=inbound))
 
 
 def test_rewrite_remote_without_caches_fails():
@@ -174,19 +187,20 @@ def test_rewrite_remote_identity_with_zero_caches():
 def test_rewrite_remote_covers_every_static_remote():
     for plan in map(rewrite_remote, _refined_plans()):
         for ap in plan.per_agent.values():
-            staged_sources = {e.source_agent for e in ap.staged if isinstance(e, CacheRead)}
-            assert staged_sources == {r.agent_id for r, _ in ap.refined.remote_static}
+            staged_sources = {s for s in ap.staged if s not in plan.partition.member_set}
+            assert staged_sources == {src for src, _ in ap.refined.remote_static}
 
 
 def test_rewrite_local_fig3():
     plans = _refined_plans()
     plan0 = rewrite_local(plans[0])
     assert "local" in plan0.passes
+    members = plan0.partition.member_set
     staged = plan0.per_agent[0].staged
-    local_reads = [e for e in staged if isinstance(e, LocalRead)]
-    assert local_reads == [LocalRead(StateRef(1))]
+    local_reads = [s for s in staged if s in members]
+    assert local_reads == [1]
     # agent 1 has no local static refs: unchanged program, plan-wide flag set
-    assert all(not isinstance(e, LocalRead) for e in plan0.per_agent[1].staged)
+    assert all(s not in members for s in plan0.per_agent[1].staged)
 
 
 def test_pass_idempotence():
@@ -195,6 +209,8 @@ def test_pass_idempotence():
     assert rewrite_remote(once).plan_key() == once.plan_key()
     local_once = rewrite_local(plans[0])
     assert rewrite_local(local_once).plan_key() == local_once.plan_key()
+    both = rewrite_remote(local_once)
+    assert rewrite_local(both).plan_key() == both.plan_key()
 
 
 def test_merge_orders_ascending():
@@ -259,7 +275,7 @@ def test_pushdown_drops_replaced_senders_from_dynamic_references():
     ]
     updated = aggregation_pushdown(plans, 0, {"min": min_contract()})
     owner = next(p for p in updated if p.partition.id == 0)
-    assert owner.per_agent[0].refined.dynamic == (StateRef(1),)
+    assert owner.per_agent[0].refined.dynamic == (1,)
     assert owner.pushdown_replaced[0] == frozenset({2, 3})
 
 

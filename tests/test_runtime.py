@@ -59,16 +59,6 @@ def test_deliver_type_mismatch_names_parties():
     assert "receiver 17" in str(err.value)
 
 
-def test_deliver_negative_senders_skip_deserialize():
-    calls = []
-    contract = replace(
-        gol_contract(),
-        deserialize=lambda m: calls.append(m) or m,
-    )
-    assert deliver(contract, [(-1, 3), (2, 1)]) == [3, 1]
-    assert calls == [1]  # only the real sender's payload went through
-
-
 def two_core_workload():
     """The two-core f/g exchange realized as a 2-agent workload."""
     graph = Graph(2, ((1,), (0,)))

@@ -76,7 +76,9 @@ class ComputeMethodContract:
     ``state_to_message`` may return None to suppress the send entirely.
     ``partial_compute`` folds a multiset of in-messages (None for empty);
     when ``associative`` and ``commutative`` are both set, any regrouping of
-    the fold must agree, which aggregation pushdown relies on.
+    the fold must agree, which aggregation pushdown relies on.  ``fold="add"``
+    declares that ``partial_compute(ms)`` is ``ms[0] + ... + ms[-1]`` on
+    int64 messages, so the engine may add the messages inline.
     """
 
     name: str
@@ -89,6 +91,7 @@ class ComputeMethodContract:
     associative: bool = False
     commutative: bool = False
     sample_message: Callable[[random.Random], object] | None = None
+    fold: str | None = None
 
     @property
     def pushdown_eligible(self) -> bool:
@@ -109,11 +112,18 @@ def default_run(contract: ComputeMethodContract, state, messages: Iterable) -> o
 
 
 def validate_contract(contract: ComputeMethodContract, cases: int = 200, seed: int = 0) -> None:
-    """Property-test declared algebraic flags against random regroupings.
+    """Property-test a declared fold against ``partial_compute`` and declared
+    algebraic flags against random regroupings.
 
-    Float folds regroup within 1e-9 relative (the tolerance the optimizer
-    grants pushdown on float states); everything else must match exactly.
+    A declared ``add`` fold must give exactly ``partial_compute``'s result,
+    of the same type, on random multisets of one to nine messages; only int64
+    messages qualify, since float ``+`` in another order or from another
+    start (``sum([-0.0])`` is ``0.0``) can differ.  Float folds regroup
+    within 1e-9 relative (the tolerance the optimizer grants pushdown on
+    float states); everything else must match exactly.
     """
+    if contract.fold is not None:
+        _validate_fold(contract, cases, seed)
     if not contract.pushdown_eligible or contract.sample_message is None:
         return
     floats = contract.in_message_type == "float64"
@@ -136,4 +146,27 @@ def validate_contract(contract: ComputeMethodContract, cases: int = 200, seed: i
             raise ContractError(
                 f"{contract.name}: declared associative+commutative but "
                 f"fold({msgs}) = {whole} != {regrouped} after regrouping"
+            )
+
+
+def _validate_fold(contract: ComputeMethodContract, cases: int, seed: int) -> None:
+    if contract.fold != "add":
+        raise ContractError(f"{contract.name}: unknown fold {contract.fold!r}")
+    if contract.in_message_type != "int64":
+        raise ContractError(
+            f"{contract.name}: fold 'add' needs int64 in-messages, "
+            f"not {contract.in_message_type}"
+        )
+    rng = random.Random(seed)
+    sample = contract.sample_message or (lambda r: r.randint(-2**62, 2**62))
+    for _ in range(cases):
+        msgs = [sample(rng) for _ in range(rng.randint(1, 9))]
+        chained = msgs[0]
+        for m in msgs[1:]:
+            chained = chained + m
+        folded = contract.partial_compute(list(msgs))
+        if folded != chained or type(folded) is not type(chained):
+            raise ContractError(
+                f"{contract.name}: declared fold 'add' but "
+                f"fold({msgs}) = {folded!r} != {chained!r}"
             )

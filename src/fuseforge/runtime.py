@@ -1,4 +1,4 @@
-"""BSP executor: superstep loop, mailbox delivery, partition workers.
+"""BSP executor: per-partition kernels, mailbox delivery, partition workers.
 
 Execution follows the synchronous BSP contract: messages sent in superstep t
 are readable only in t+1.  Every agent's out-message of the previous round
@@ -6,12 +6,36 @@ lives in one flat message buffer of n entries, indexed by agent id.  A
 staged read, and a cache slot the receiver reads without the remote pass,
 is the id of its source agent: a cache slot holds exactly its source's
 message, so it aliases that entry, and caches remain only the wire-unit
-model.  An agent's inputs are one gather over its indices plus its mailbox.
+model.  An agent's inputs are its reads from that buffer plus its mailbox.
 Agents write the next round's buffer, which swaps with the previous one at
 the barrier; agent values are updated in place, since no agent reads
 another's value directly.  The buffer and the mailboxes are seeded with each
 agent's initial-value message, so staged reads at superstep 0 match
 message-passing mode exactly.
+
+Kernels: the engine does not interpret plans per agent.  At compile time it
+groups each partition's agents by (contract, read arity, mail shape), the
+mail shape saying whether the agent receives mail and whether it sends mail,
+and runs each group with one generated Python function over a constant
+table.  A row of the table is ``(a, i0, .., ik)``: the agent and the buffer
+indices of its reads, in ascending source order, followed by its local and
+cross-partition receivers when it sends mail.  The kernel's loop is
+``f = fold(prev[i0], .., prev[ik]); s = update(values[a], f); values[a] = s;
+nxt[a] = state_to_message(s)``.  A contract that declares ``fold="add"``
+folds with an inline ``+`` expression, falling back to ``partial_compute``
+over the messages actually sent when one of them is None; every other
+contract calls ``partial_compute`` on a list literal.  Generated code depends
+only on the group's shape, so groups of one shape share one code object.  A
+key whose read arity exceeds the number of agents sharing it (a hub) keeps
+each row's reads as one tuple instead of unpacking them, so the generated
+code stays linear in the number of agents.
+
+Mail order: a mailbox sees the order in which its senders ran, and a
+commutative float fold consumes mail in that order.  Agents that send mail
+therefore run in execution order: consecutive senders of one group share a
+table, and those tables run in execution order.  Agents that send no mail
+write only their own value and buffer entry, which nothing reads before the
+barrier, so they run grouped in any order.
 
 Determinism: order-sensitive contracts consume their inputs in ascending
 sender order, per-agent RNG streams live inside agent values, and
@@ -23,6 +47,8 @@ merged-order permutation.
 from __future__ import annotations
 
 import time
+from collections import Counter, defaultdict
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -77,8 +103,135 @@ def deliver(
     return msgs
 
 
+# Kernels ------------------------------------------------------------------------
+
+
+def _present(ms, pc):
+    """``pc`` over the messages that were sent; None when none was."""
+    ms = [m for m in ms if m is not None]
+    return pc(ms) if ms else None
+
+
+def _add_tree(terms: list[str]) -> str:
+    """``terms`` summed in ascending order as a balanced expression: int
+    addition is exact, so the grouping does not change the sum, and the
+    compiler's recursion depth stays logarithmic in the arity."""
+    if len(terms) == 1:
+        return terms[0]
+    mid = len(terms) // 2
+    return f"({_add_tree(terms[:mid])} + {_add_tree(terms[mid:])})"
+
+
+def _kernel_source(arity: int | None, add: bool, receive: str | None, sends: bool) -> str:
+    """Python source of the kernel for one group shape.
+
+    ``arity`` None means each row holds its reads as one tuple ``I``.
+    ``receive`` is None (no mail ever arrives), ``"merged"`` (an
+    order-sensitive fold: reads and mail merged by sender) or
+    ``"arrival"`` (a commutative fold: reads, then mail in arrival order).
+    """
+    if arity is None:
+        row = ["a", "I"]
+        index = "I"
+        listed = "[prev[i] for i in I]"
+    else:
+        idx = [f"i{j}" for j in range(arity)]
+        row = ["a", *idx]
+        index = "(" + "".join(f"{i}, " for i in idx) + ")"
+        listed = "[" + ", ".join(f"prev[{i}]" for i in idx) + "]"
+    if sends:
+        row += ["L", "X"]
+
+    # the fold of the reads alone, into f
+    if arity == 0:
+        fold = ["f = None"]
+    elif add and arity == 1:
+        fold = ["f = prev[i0]"]
+    elif add and arity is not None:
+        fold = ["try:",
+                f"    f = {_add_tree([f'prev[{i}]' for i in idx])}",
+                "except TypeError:",
+                f"    f = _present({listed}, pc)"]
+    else:
+        fold = [f"ms = {listed}",
+                "f = pc(ms) if None not in ms else _present(ms, pc)"]
+
+    if receive is None:
+        body = fold
+    elif add:
+        # int addition is exact, so mail joins the sum in any order
+        body = [*fold,
+                "inbox = mb[a]",
+                "if inbox:",
+                "    t = sum([p for _, p in inbox])",
+                "    f = t if f is None else f + t",
+                "    inbox.clear()"]
+    elif receive == "merged":
+        merge = [] if arity == 0 else [
+            f"    inbox += [(i, prev[i]) for i in {index} if prev[i] is not None]"]
+        body = ["inbox = mb[a]",
+                "if inbox:",
+                *merge,
+                "    inbox.sort(key=_sender)",
+                "    f = pc([p for _, p in inbox])",
+                "    inbox.clear()",
+                "else:",
+                *("    " + line for line in fold)]
+    else:
+        body = [f"ms = {listed}",
+                "if None in ms:",
+                "    ms = [m for m in ms if m is not None]",
+                "inbox = mb[a]",
+                "if inbox:",
+                "    ms += [p for _, p in inbox]",
+                "    inbox.clear()",
+                "f = pc(ms) if ms else None"]
+
+    body += ["s = up(values[a], f)", "values[a] = s"]
+    if sends:
+        body += ["out = sm(s)",
+                 "nxt[a] = out",
+                 "if out is not None:",
+                 "    item = (a, out)",
+                 "    if L:",
+                 "        logical += len(L)",
+                 "        for r in L:",
+                 "            mn[r].append(item)",
+                 "    if X:",
+                 "        crossed += len(X)",
+                 "        shard.append((X, item))"]
+    else:
+        body += ["nxt[a] = sm(s)"]
+
+    lines = ["def kernel(T, prev, nxt, values, mb, mn, shard, counter, pc, up, sm):"]
+    if sends:
+        lines.append("    logical = crossed = 0")
+    lines.append(f"    for {', '.join(row)}{',' if len(row) == 1 else ''} in T:")
+    lines += ["        " + line for line in body]
+    if sends:
+        lines += ["    counter[0] += logical + crossed", "    counter[1] += crossed"]
+    return "\n".join(lines) + "\n"
+
+
+def _make_kernel(shape: tuple):
+    namespace: dict = {}
+    exec(compile(_kernel_source(*shape), f"<fuseforge kernel {shape}>", "exec"),
+         globals(), namespace)
+    return namespace["kernel"]
+
+
 class Engine:
-    """Compiled program: plans resolved into flat per-agent index tables."""
+    """Compiled program: each partition is a list of kernel steps.
+
+    ``programs[p]`` holds partition p's steps in the order they run, each
+    ``(kernel, table, partial_compute, update_state, state_to_message)``.
+    One step covers one group of agents with the same contract, read arity
+    and mail shape; a step of mail senders covers a run of consecutive
+    senders in execution order, so every mailbox receives its mail in the
+    order the plan's execution order implies.  Every agent the partition
+    runs is in exactly one row of one table.  Kernels are generated once per
+    group shape for this engine and shared by every group of that shape.
+    """
 
     def __init__(self, workload, plans: list[PartitionPlan], track_inbound: tuple[int, ...] = ()):
         self.workload = workload
@@ -106,12 +259,15 @@ class Engine:
         # slot covers; aggregation pushdown has already dropped the senders
         # its aggregators fold)
         self.contract_of: list[ComputeMethodContract] = [None] * n  # type: ignore
-        self.reads: list[tuple[int, ...]] = [()] * n
-        self.local_to: list[list[int]] = [[] for _ in range(n)]
-        self.cross_to: list[list[int]] = [[] for _ in range(n)]
+        compute_of: list[str] = [""] * n
+        row_of: list[tuple[int, ...]] = [()] * n  # (agent, *its reads)
+        receives = [False] * n
+        local_to: defaultdict[int, list[int]] = defaultdict(list)
+        cross_to: defaultdict[int, list[int]] = defaultdict(list)
         for plan in plans:
             pid = plan.partition.id
             for a, ap in plan.per_agent.items():
+                compute_of[a] = ap.equation.compute
                 self.contract_of[a] = workload.contracts[ap.equation.compute]
                 rn = ap.refined or RefinedNeighbors(
                     (), (), tuple(r.agent_id for r in ap.equation.reference_set))
@@ -126,15 +282,54 @@ class Engine:
                     else:
                         mail.append(src)
                 mail.extend(rn.dynamic)
-                self.reads[a] = tuple(sorted(gather))
+                row_of[a] = (a, *sorted(gather))
+                receives[a] = bool(mail)
                 for s in mail:
-                    (self.local_to if self.partition_of[s] == pid else self.cross_to)[s].append(a)
+                    (local_to if self.partition_of[s] == pid else cross_to)[s].append(a)
 
+        # per sender: its mail readers in its own partition and in others;
+        # agents that send no mail share one empty tuple
+        self.local_to: list[Sequence[int]] = [local_to.get(a, ()) for a in range(n)]
+        self.cross_to: list[Sequence[int]] = [cross_to.get(a, ()) for a in range(n)]
         self.aggregators = [agg for plan in plans for agg in plan.aggregators]
-        self.exec_order: list[list[int]] = []
+
+        for agg in self.aggregators:
+            receives[agg.target_agent] = True
+        sends = [bool(local or cross) for local, cross in zip(self.local_to, self.cross_to)]
+        # one shared tuple per distinct key: n live key tuples would add work
+        # for the cyclic collector during set-up
+        interned: dict[tuple, tuple] = {}
+        key_of = [interned.setdefault(key, key) for key in
+                  zip(compute_of, (len(row) - 1 for row in row_of), receives, sends)]
+        # a key with more reads than agents keeps each row's reads as one tuple
+        unrolled = {key: key[1] <= count for key, count in Counter(key_of).items()}
+
+        kernels: dict[tuple, object] = {}
+        self.programs: list[list[tuple]] = []
         for plan in plans:
             order = plan.merged_order if plan.merged_order is not None else plan.agent_ids
-            self.exec_order.append(list(order))
+            quiet: dict[tuple, list] = {}  # agents that send no mail, by key
+            senders: list[tuple[tuple, list]] = []  # runs of one key, in order
+            for a in order:
+                key = key_of[a]
+                row = row_of[a] if unrolled[key] else (a, row_of[a][1:])
+                if key[3]:
+                    if not senders or senders[-1][0] != key:
+                        senders.append((key, []))
+                    senders[-1][1].append((*row, self.local_to[a], self.cross_to[a]))
+                else:
+                    quiet.setdefault(key, []).append(row)
+            program = []
+            for key, rows in (*quiet.items(), *senders):
+                _, arity, receiving, sending = key
+                c = self.contract_of[rows[0][0]]
+                receive = ("arrival" if c.pushdown_eligible else "merged") if receiving else None
+                shape = (arity if unrolled[key] else None, c.fold == "add", receive, sending)
+                if shape not in kernels:
+                    kernels[shape] = _make_kernel(shape)
+                program.append((kernels[shape], tuple(rows), c.partial_compute, c.update_state,
+                                c.state_to_message))
+            self.programs.append(program)
 
         # merged but uncached partitions tag each cross message with a header
         passes = plans[0].passes if plans else frozenset()
@@ -159,33 +354,37 @@ class Engine:
             out = self.contract_of[a].state_to_message(values[a])
             prev[a] = out
             if out is not None:
-                for r in self.local_to[a] + self.cross_to[a]:
+                for r in (*self.local_to[a], *self.cross_to[a]):
                     mailbox[r].append((a, out))
         self._fold_aggregates(prev, mailbox)
         # consumers empty their mailbox lists, so the two sets alternate
         mail_next: list[list] = [[] for _ in range(n)]
 
+        programs = self.programs
         pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
         try:
             for _ in range(rounds):
                 t0 = time.perf_counter()
-                shards = [[] for _ in self.plans]  # per worker: (reader, sender, payload)
-                counters = [[0, 0] for _ in self.plans]  # logical, cross-partition
+                shards = [[] for _ in programs]  # per worker: (readers, (sender, payload))
+                counters = [[0, 0] for _ in programs]  # logical, cross-partition
 
                 def work(idx: int) -> None:
-                    self._run_partition(idx, values, prev, nxt, mailbox, mail_next,
-                                        shards[idx], counters[idx])
+                    shard, counter = shards[idx], counters[idx]
+                    for kernel, table, pc, up, sm in programs[idx]:
+                        kernel(table, prev, nxt, values, mailbox, mail_next, shard, counter,
+                               pc, up, sm)
 
                 if pool is None:
-                    for i in range(len(self.plans)):
+                    for i in range(len(programs)):
                         work(i)
                 else:
-                    list(pool.map(work, range(len(self.plans))))
+                    list(pool.map(work, range(len(programs))))
 
                 # barrier: merge cross-partition shards in partition order
                 for shard in shards:
-                    for reader, sender, payload in shard:
-                        mail_next[reader].append((sender, payload))
+                    for readers, item in shard:
+                        for r in readers:
+                            mail_next[r].append(item)
                 folded = self._fold_aggregates(nxt, mail_next)
 
                 # one wire unit per directed cache per round, plus one per
@@ -227,56 +426,6 @@ class Engine:
                 mailbox[target].append((agg.ref.synthetic_id, partial))
                 shipped += 1
         return shipped
-
-    def _run_partition(self, idx, values, prev, nxt, mailbox, mail_next, shard, counter) -> None:
-        contract_of = self.contract_of
-        reads = self.reads
-        local_to = self.local_to
-        cross_to = self.cross_to
-        logical = crossed = 0
-
-        for agent in self.exec_order[idx]:
-            c = contract_of[agent]
-            indices = reads[agent]
-            msgs = [prev[i] for i in indices]
-            inbox = mailbox[agent]
-            if inbox and not c.pushdown_eligible:
-                # order-sensitive fold: merge the reads into the mailbox by
-                # sender (such contracts never receive aggregated partials)
-                if indices:
-                    inbox.extend([(i, m) for i, m in zip(indices, msgs)
-                                  if m is not None])
-                inbox.sort(key=_sender)
-                msgs = [p for _, p in inbox]
-                inbox.clear()
-            elif None in msgs:
-                msgs = [m for m in msgs if m is not None]
-            if inbox:
-                # commutative fold: mail is consumed in arrival order
-                msgs.extend([p for _, p in inbox])
-                inbox.clear()
-
-            folded = c.partial_compute(msgs) if msgs else None
-            new_value = c.update_state(values[agent], folded)
-            values[agent] = new_value
-
-            out = c.state_to_message(new_value)
-            nxt[agent] = out
-            if out is not None:
-                local = local_to[agent]
-                if local:
-                    logical += len(local)
-                    item = (agent, out)
-                    for r in local:
-                        mail_next[r].append(item)
-                cross = cross_to[agent]
-                if cross:
-                    logical += len(cross)
-                    crossed += len(cross)
-                    for r in cross:
-                        shard.append((r, agent, out))
-        counter[0] = logical
-        counter[1] = crossed
 
 
 def execute(

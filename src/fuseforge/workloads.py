@@ -90,6 +90,7 @@ def gol_contract() -> ComputeMethodContract:
         associative=True,
         commutative=True,
         sample_message=lambda rng: rng.randint(0, 1),
+        fold="add",
     )
 
 
@@ -161,6 +162,7 @@ def epidemics_contract(beta: float = 0.05, recovery_rounds: int = 5) -> ComputeM
         associative=True,
         commutative=True,
         sample_message=lambda rng: rng.randint(0, 1),
+        fold="add",
     )
 
 
@@ -270,6 +272,7 @@ def economics_contracts(
         associative=True,
         commutative=True,
         sample_message=lambda rng: rng.randint(-1, 1),
+        fold="add",
     )
     market = ComputeMethodContract(
         name="econ.market",
@@ -282,6 +285,7 @@ def economics_contracts(
         associative=True,
         commutative=True,
         sample_message=lambda rng: rng.randint(-1, 1),
+        fold="add",
     )
     return {"econ.trader": trader, "econ.market": market}
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,7 @@ from fuseforge.equations import (
     validate_contract,
 )
 from fuseforge.errors import ContractError
-from fuseforge.workloads import gol_contract
+from fuseforge.workloads import economics_contracts, epidemics_contract, gol_contract
 
 
 def min_op_contract() -> ComputeMethodContract:
@@ -79,6 +80,44 @@ def test_validate_contract_catches_false_flags():
     )
     with pytest.raises(ContractError):
         validate_contract(bogus)
+
+
+def test_declared_add_folds_validate():
+    for contract in (gol_contract(), epidemics_contract(), *economics_contracts().values()):
+        assert contract.fold == "add"
+        validate_contract(contract)
+
+
+def test_validate_contract_rejects_a_false_add_fold():
+    """A maximum is no sum, whatever the contract declares."""
+    max_fold = replace(gol_contract(), partial_compute=lambda ms: max(ms) if ms else None)
+    with pytest.raises(ContractError, match="fold 'add'"):
+        validate_contract(max_fold)
+    # without a sample generator the check draws wide int64 messages
+    with pytest.raises(ContractError, match="fold 'add'"):
+        validate_contract(replace(max_fold, sample_message=None))
+
+
+def test_validate_contract_rejects_an_add_fold_on_floats():
+    """Float addition in another order, or from sum's 0 start, may differ."""
+    floats = ComputeMethodContract(
+        name="float-sum",
+        value_type="float64",
+        in_message_type="float64",
+        out_message_type="float64",
+        state_to_message=lambda s: s,
+        partial_compute=lambda ms: sum(ms) if ms else None,
+        update_state=lambda s, m: s if m is None else m,
+        fold="add",
+    )
+    assert floats.partial_compute([-0.0]) == 0.0  # and is not -0.0 bit for bit
+    with pytest.raises(ContractError, match="int64"):
+        validate_contract(floats)
+
+
+def test_validate_contract_rejects_an_unknown_fold():
+    with pytest.raises(ContractError, match="unknown fold"):
+        validate_contract(replace(gol_contract(), fold="max"))
 
 
 def test_fold_regroup_matches_for_random_groupings():

@@ -26,19 +26,32 @@ from ..errors import StructuralError
 _fresh_counter = itertools.count(1)
 
 
+def _freeze_hash(obj, *parts) -> None:
+    object.__setattr__(obj, "_hash", hash(parts))
+
+
+def _cached_hash(self) -> int:
+    return self._hash
+
+
 @dataclass(frozen=True, slots=True)
 class Name:
     """An interned channel or value symbol.
 
     ``fresh_id`` is set for machine-generated names, which therefore can
     never collide with user symbols of the same text.  ``value`` is set for
-    literal names (concrete data travelling over channels).
+    literal names (concrete data travelling over channels).  The hash is
+    computed once, at construction, like the process nodes' hashes.
     """
 
     text: str
     fresh_id: int | None = None
     value: object = None
     is_literal: bool = False
+    _hash: int = field(init=False, compare=False, repr=False, default=0)
+
+    def __post_init__(self):
+        _freeze_hash(self, self.text, self.fresh_id, self.value, self.is_literal)
 
     def __repr__(self) -> str:
         if self.is_literal:
@@ -69,14 +82,6 @@ class PiProcess:
     """
 
     __slots__ = ()
-
-
-def _freeze_hash(obj, *parts) -> None:
-    object.__setattr__(obj, "_hash", hash(parts))
-
-
-def _cached_hash(self) -> int:
-    return self._hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,7 +210,7 @@ class ProcessId(PiProcess):
         return self.ident
 
 
-for _cls in (Nil, OutputPrefix, InputPrefix, Choice, Parallel, Restriction, Replication, FunctionApply, ProcessId):
+for _cls in (Name, Nil, OutputPrefix, InputPrefix, Choice, Parallel, Restriction, Replication, FunctionApply, ProcessId):
     _cls.__hash__ = _cached_hash
 
 NIL = Nil()

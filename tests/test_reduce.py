@@ -31,8 +31,11 @@ from fuseforge.pi import (
     par,
     reduce_all,
     reduce_step,
+    state_channel,
     translate_nonrecursive,
 )
+
+from full_search import full_search
 
 i, o, x = name("i"), name("o"), name("x")
 
@@ -109,10 +112,9 @@ def test_unregistered_compute_raises():
         reduce_step(state)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3])
-def test_translated_equation_step_count(n):
-    """Composed with initializers, a translated equation reaches irreducible
-    form in exactly 2n + 2 + k steps (k = function-encoding extra steps)."""
+def n_reference_system(n: int):
+    """One translated equation over ``n`` references, with initializers for
+    its lhs (10) and references (1..n)."""
     lhs = StateRef(0)
     rhs = StateRef(0, generation=1)
     refs = tuple(StateRef(j + 1) for j in range(n))
@@ -122,7 +124,14 @@ def test_translated_equation_step_count(n):
         initializer(lhs, 10),
         *[initializer(r, j + 1) for j, r in enumerate(refs)],
     )
-    computes = {"acc": lambda *args: sum(args)}
+    return system, {"acc": lambda *args: sum(args)}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_translated_equation_step_count(n):
+    """Composed with initializers, a translated equation reaches irreducible
+    form in exactly 2n + 2 + k steps (k = function-encoding extra steps)."""
+    system, computes = n_reference_system(n)
     result = reduce_all(initial_state(system, computes=computes), max_steps=50)
     assert not result.non_terminating
     assert result.irreducible
@@ -171,13 +180,14 @@ def test_two_core_two_superstep_oracle():
     finals = result.final_value_sets([name("p5"), name("p6")])
     assert all(fv == {name("p5"): 12, name("p6"): -10} for fv in finals)
     assert {s.step_count for s in result.irreducible} == {16}
+    # every step of the exchange is tau-confluent: one state per step
+    assert result.explored == 17
     # one state per congruence class: no class keeps two representatives
-    assert result.explored == 57
+    assert full_search(initial_state(system, computes=computes), max_steps=100).explored == 57
 
 
-def test_three_equation_superstep_deterministic():
-    """Every maximal reduction sequence of a composed three-equation
-    superstep reaches the same terminal values (checked exhaustively)."""
+def three_equation_system():
+    """A three-agent superstep with the order-sensitive f(m, x) = 10x + m."""
     a0, a1, a2 = StateRef(0), StateRef(1), StateRef(2)
     b0, b1, b2 = StateRef(0, 1), StateRef(1, 1), StateRef(2, 1)
     eqs = [
@@ -189,7 +199,13 @@ def test_three_equation_superstep_deterministic():
         *[translate_nonrecursive(eq) for eq in eqs],
         initializer(a0, 1), initializer(a1, 2), initializer(a2, 3),
     )
-    computes = {"f": lambda m, x: 10 * x + m}
+    return system, {"f": lambda m, x: 10 * x + m}
+
+
+def test_three_equation_superstep_deterministic():
+    """Every maximal reduction sequence of a composed three-equation
+    superstep reaches the same terminal values."""
+    system, computes = three_equation_system()
     result = reduce_all(initial_state(system, computes=computes), max_steps=100)
     assert not result.non_terminating
     finals = result.final_value_sets([name("s0g1"), name("s1g1"), name("s2g1")])
@@ -234,21 +250,61 @@ def sprime_state() -> ReductionState:
     return initial_state(system, defs={**defs1, **defs2}, computes=computes)
 
 
+def superstep_state(refs: dict, compute: dict, values: list, steps: int,
+                    computes: dict) -> ReductionState:
+    """Agents 0..k-1 over ``steps`` supersteps: agent a reads the agents
+    ``refs[a]`` and applies ``compute[a]``.  Each superstep's input states
+    are restricted around it; the last superstep's results stay free, on
+    the channels ``s{a}g{steps}``."""
+    k = len(values)
+
+    def ref(step, a):
+        return StateRef(a, generation=step)
+
+    def superstep(step):
+        return [translate_nonrecursive(BehavioralEquation(
+            ref(step, a), compute[a], tuple(ref(step, b) for b in refs[a]), ref(step + 1, a)))
+            for a in range(k)]
+
+    def inputs(step):
+        return tuple(state_channel(ref(step, a)) for a in range(k))
+
+    system = nu(inputs(0), par(*[initializer(ref(0, a), v) for a, v in enumerate(values)],
+                               *superstep(0)))
+    for step in range(1, steps):
+        system = nu(inputs(step), par(system, *superstep(step)))
+    return initial_state(system, computes=computes)
+
+
+def ring_state(values: list[int], steps: int) -> ReductionState:
+    """A ring: agent a reads agent a-1; even agents add what they read, odd
+    ones subtract it."""
+    k = len(values)
+    return superstep_state({a: ((a - 1) % k,) for a in range(k)},
+                           {a: "f" if a % 2 == 0 else "g" for a in range(k)},
+                           values, steps,
+                           {"f": lambda m, x: x + m, "g": lambda m, x: x - m})
+
+
 TRUNCATED_SEARCH = """
 from fuseforge.errors import ResourceLimitError
-from fuseforge.pi import reduce_all
-from test_reduce import sprime_state
+from fuseforge.pi import canonical_key, reduce_all
+from test_reduce import ring_state, sprime_state
 try:
     result = reduce_all(sprime_state(), max_steps=10_000, max_states=300)
 except ResourceLimitError as exc:
     result = exc.partial
 print(result.explored, len(result.irreducible), result.truncated)
+ring = reduce_all(ring_state([5, 6, 7], 2), max_steps=100)
+print(ring.explored, sorted(repr((canonical_key(s.process), s.value_env))
+                            for s in ring.irreducible))
 """
 
 
 def test_truncated_search_does_not_depend_on_hash_seed():
-    """A search cut off by max_states explores the same states in processes
-    whose string hashes, and so set iteration orders, differ."""
+    """A search cut off by max_states, and one that prioritises confluent
+    steps (the ring), explore the same states in processes whose string
+    hashes, and so set iteration orders, differ."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fuseforge.__file__)))
     here = os.path.dirname(os.path.abspath(__file__))
     outputs = set()

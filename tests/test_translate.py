@@ -150,12 +150,12 @@ def test_recursive_empty_reference_set_shape():
     assert yields[0].payload == (name("s4"), apply_node.result)
 
 
-def test_recursive_against_scheduler_matches_chained_nonrecursive():
-    """Driving the recursive process through two supersteps over resume/yield
-    reproduces the chained non-recursive translation of the same function."""
-    computes = {"f": lambda m, x: x + m}
+COMPUTES = {"f": lambda m, x: x + m}
 
-    # recursive: p := f{i}.p, scheduler feeds i-values 3 then 4
+
+def scheduler_state():
+    """p := f{i}.p translated recursively, with a scheduler feeding the
+    i-values 3 then 4 over resume/yield."""
     p, i = StateRef(1), StateRef(9)
     eq = BehavioralEquation(p, "f", (i,), p)
     body = translate_recursive(eq)
@@ -167,13 +167,12 @@ def test_recursive_against_scheduler_matches_chained_nonrecursive():
         inp(ych, b1, out(name("resume"), (lit(4),), inp(ych, b1))),
     )
     system = par(body, out(p_chan, lit(5)), scheduler)
-    result = reduce_all(
-        initial_state(system, defs={ident: body}, computes=computes), max_steps=60
-    )
-    assert not result.non_terminating
-    recursive_finals = {final_values(s).get(p_chan) for s in result.irreducible}
+    return initial_state(system, defs={ident: body}, computes=COMPUTES)
 
-    # chained: p := f{i0}.p', p' := f{i1}.p''
+
+def chained_state():
+    """The same function chained non-recursively: p := f{i0}.p',
+    p' := f{i1}.p''."""
     q0, q1, q2 = StateRef(1, 0), StateRef(1, 1), StateRef(1, 2)
     i0, i1 = StateRef(90), StateRef(91)
     chain = par(
@@ -183,7 +182,17 @@ def test_recursive_against_scheduler_matches_chained_nonrecursive():
         initializer(i0, 3),
         initializer(i1, 4),
     )
-    result2 = reduce_all(initial_state(chain, computes=computes), max_steps=60)
+    return initial_state(chain, computes=COMPUTES)
+
+
+def test_recursive_against_scheduler_matches_chained_nonrecursive():
+    """Driving the recursive process through two supersteps over resume/yield
+    reproduces the chained non-recursive translation of the same function."""
+    result = reduce_all(scheduler_state(), max_steps=60)
+    assert not result.non_terminating
+    recursive_finals = {final_values(s).get(name("s1")) for s in result.irreducible}
+
+    result2 = reduce_all(chained_state(), max_steps=60)
     assert not result2.non_terminating
     chained_finals = {final_values(s).get(name("s1g2")) for s in result2.irreducible}
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 
 from ..errors import StructuralError
 
@@ -28,6 +29,18 @@ _fresh_counter = itertools.count(1)
 
 def _freeze_hash(obj, *parts) -> None:
     object.__setattr__(obj, "_hash", hash(parts))
+
+
+# Nodes at least this tall compare by an explicit walk, lower ones by
+# recursive field-by-field comparison.
+_SHALLOW = 48
+
+
+def _freeze_node(node, height: int, *parts) -> None:
+    """Cache a process node's hash and its height (the number of nodes on
+    its longest path to a leaf)."""
+    object.__setattr__(node, "_hash", hash(parts))
+    object.__setattr__(node, "_height", height)
 
 
 def _cached_hash(self) -> int:
@@ -78,7 +91,9 @@ class PiProcess:
     """Marker base class; all variants are frozen dataclasses.
 
     Nodes cache their structural hash at construction, so hashing deep terms
-    (interning, memo tables) is O(1) after the initial build.
+    (interning, memo tables) is O(1) after the initial build.  They also
+    cache their height, which lets equality walk tall terms without
+    recursion.
     """
 
     __slots__ = ()
@@ -87,9 +102,13 @@ class PiProcess:
 @dataclass(frozen=True, slots=True)
 class Nil(PiProcess):
     _hash: int = field(init=False, compare=False, repr=False, default=0)
+    _height: int = field(init=False, compare=False, repr=False, default=0)
 
     def __post_init__(self):
-        _freeze_hash(self, "nil")
+        _freeze_node(self, 1, "nil")
+
+    def __eq__(self, other) -> bool:
+        return True if other.__class__ is Nil else NotImplemented
 
     def __repr__(self) -> str:
         return "0"
@@ -101,9 +120,18 @@ class OutputPrefix(PiProcess):
     payload: tuple[Name, ...]
     continuation: PiProcess
     _hash: int = field(init=False, compare=False, repr=False, default=0)
+    _height: int = field(init=False, compare=False, repr=False, default=0)
 
     def __post_init__(self):
-        _freeze_hash(self, "out", self.channel, self.payload, self.continuation)
+        _freeze_node(self, self.continuation._height + 1, "out", self.channel, self.payload, self.continuation)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not OutputPrefix:
+            return NotImplemented
+        if self._hash != other._hash or self._height >= _SHALLOW:
+            return _walk_eq(self, other)
+        return (self.channel, self.payload, self.continuation) == (
+            other.channel, other.payload, other.continuation)
 
     def __repr__(self) -> str:
         args = ",".join(map(repr, self.payload))
@@ -116,11 +144,20 @@ class InputPrefix(PiProcess):
     binders: tuple[Name, ...]
     continuation: PiProcess
     _hash: int = field(init=False, compare=False, repr=False, default=0)
+    _height: int = field(init=False, compare=False, repr=False, default=0)
 
     def __post_init__(self):
         if len(set(self.binders)) != len(self.binders):
             raise StructuralError(f"duplicate binders in input on {self.channel!r}")
-        _freeze_hash(self, "in", self.channel, self.binders, self.continuation)
+        _freeze_node(self, self.continuation._height + 1, "in", self.channel, self.binders, self.continuation)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not InputPrefix:
+            return NotImplemented
+        if self._hash != other._hash or self._height >= _SHALLOW:
+            return _walk_eq(self, other)
+        return (self.channel, self.binders, self.continuation) == (
+            other.channel, other.binders, other.continuation)
 
     def __repr__(self) -> str:
         args = ",".join(map(repr, self.binders))
@@ -132,9 +169,17 @@ class Choice(PiProcess):
     left: PiProcess
     right: PiProcess
     _hash: int = field(init=False, compare=False, repr=False, default=0)
+    _height: int = field(init=False, compare=False, repr=False, default=0)
 
     def __post_init__(self):
-        _freeze_hash(self, "+", self.left, self.right)
+        _freeze_node(self, max(self.left._height, self.right._height) + 1, "+", self.left, self.right)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Choice:
+            return NotImplemented
+        if self._hash != other._hash or self._height >= _SHALLOW:
+            return _walk_eq(self, other)
+        return (self.left, self.right) == (other.left, other.right)
 
     def __repr__(self) -> str:
         return f"({self.left!r} + {self.right!r})"
@@ -145,9 +190,17 @@ class Parallel(PiProcess):
     left: PiProcess
     right: PiProcess
     _hash: int = field(init=False, compare=False, repr=False, default=0)
+    _height: int = field(init=False, compare=False, repr=False, default=0)
 
     def __post_init__(self):
-        _freeze_hash(self, "|", self.left, self.right)
+        _freeze_node(self, max(self.left._height, self.right._height) + 1, "|", self.left, self.right)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Parallel:
+            return NotImplemented
+        if self._hash != other._hash or self._height >= _SHALLOW:
+            return _walk_eq(self, other)
+        return (self.left, self.right) == (other.left, other.right)
 
     def __repr__(self) -> str:
         return f"({self.left!r} | {self.right!r})"
@@ -158,9 +211,17 @@ class Restriction(PiProcess):
     name: Name
     body: PiProcess
     _hash: int = field(init=False, compare=False, repr=False, default=0)
+    _height: int = field(init=False, compare=False, repr=False, default=0)
 
     def __post_init__(self):
-        _freeze_hash(self, "nu", self.name, self.body)
+        _freeze_node(self, self.body._height + 1, "nu", self.name, self.body)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Restriction:
+            return NotImplemented
+        if self._hash != other._hash or self._height >= _SHALLOW:
+            return _walk_eq(self, other)
+        return (self.name, self.body) == (other.name, other.body)
 
     def __repr__(self) -> str:
         return f"(ν{self.name!r}){self.body!r}"
@@ -170,9 +231,17 @@ class Restriction(PiProcess):
 class Replication(PiProcess):
     body: PiProcess
     _hash: int = field(init=False, compare=False, repr=False, default=0)
+    _height: int = field(init=False, compare=False, repr=False, default=0)
 
     def __post_init__(self):
-        _freeze_hash(self, "!", self.body)
+        _freeze_node(self, self.body._height + 1, "!", self.body)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Replication:
+            return NotImplemented
+        if self._hash != other._hash or self._height >= _SHALLOW:
+            return _walk_eq(self, other)
+        return self.body == other.body
 
     def __repr__(self) -> str:
         return f"!{self.body!r}"
@@ -187,9 +256,18 @@ class FunctionApply(PiProcess):
     result: Name
     continuation: PiProcess
     _hash: int = field(init=False, compare=False, repr=False, default=0)
+    _height: int = field(init=False, compare=False, repr=False, default=0)
 
     def __post_init__(self):
-        _freeze_hash(self, "app", self.fn, self.args, self.result, self.continuation)
+        _freeze_node(self, self.continuation._height + 1, "app", self.fn, self.args, self.result, self.continuation)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FunctionApply:
+            return NotImplemented
+        if self._hash != other._hash or self._height >= _SHALLOW:
+            return _walk_eq(self, other)
+        return (self.fn, self.args, self.result, self.continuation) == (
+            other.fn, other.args, other.result, other.continuation)
 
     def __repr__(self) -> str:
         args = ",".join(map(repr, self.args))
@@ -202,15 +280,60 @@ class ProcessId(PiProcess):
 
     ident: str
     _hash: int = field(init=False, compare=False, repr=False, default=0)
+    _height: int = field(init=False, compare=False, repr=False, default=0)
 
     def __post_init__(self):
-        _freeze_hash(self, "id", self.ident)
+        _freeze_node(self, 1, "id", self.ident)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ProcessId:
+            return NotImplemented
+        return self.ident == other.ident
 
     def __repr__(self) -> str:
         return self.ident
 
 
-for _cls in (Name, Nil, OutputPrefix, InputPrefix, Choice, Parallel, Restriction, Replication, FunctionApply, ProcessId):
+def _walk_eq(a: PiProcess, b: PiProcess) -> bool:
+    """Equality of two nodes of one class whose hashes differ or that are
+    tall: the subterm pairs of tall nodes are walked with an explicit stack,
+    so terms nested deeper than the interpreter's recursion limit compare
+    safely; low pairs go back to ``==``."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if a.__class__ is not b.__class__ or a._hash != b._hash:
+            return False
+        if a._height < _SHALLOW:
+            if a != b:
+                return False
+            continue
+        leaves, kids = _SHAPES[a.__class__]
+        if leaves(a) != leaves(b):
+            return False
+        stack.extend((kid(a), kid(b)) for kid in kids)
+    return True
+
+
+_PROCESS_CLASSES = (Nil, OutputPrefix, InputPrefix, Choice, Parallel, Restriction, Replication,
+                    FunctionApply, ProcessId)
+_KID_FIELDS = ("continuation", "left", "right", "body")
+
+
+def _shape(cls) -> tuple:
+    """A getter for the non-process fields of ``cls`` (as one tuple) and one
+    getter per subprocess field."""
+    fields = [f for f in cls.__dataclass_fields__ if f not in ("_hash", "_height")]
+    leaves = tuple(attrgetter(f) for f in fields if f not in _KID_FIELDS)
+    return ((lambda node: tuple(get(node) for get in leaves)),
+            tuple(attrgetter(f) for f in fields if f in _KID_FIELDS))
+
+
+_SHAPES = {cls: _shape(cls) for cls in _PROCESS_CLASSES}
+
+for _cls in (Name, *_PROCESS_CLASSES):
     _cls.__hash__ = _cached_hash
 
 NIL = Nil()
@@ -282,16 +405,31 @@ def free_names(p: PiProcess) -> frozenset[Name] | None:
         if sub is TOP:
             return TOP
         return frozenset((sub - set(p.binders)) | {p.channel})
+    # parallel and choice spines and restriction chains are walked in a
+    # loop, so long ones do not exhaust the recursion limit
     if isinstance(p, (Choice, Parallel)):
-        left, right = free_names(p.left), free_names(p.right)
-        if left is TOP or right is TOP:
-            return TOP
-        return frozenset(left | right)
-    if isinstance(p, Restriction):
-        sub = free_names(p.body)
+        names: set[Name] = set()
+        q = p
+        while isinstance(q, p.__class__):
+            sub = free_names(q.left)
+            if sub is TOP:
+                return TOP
+            names |= sub
+            q = q.right
+        sub = free_names(q)
         if sub is TOP:
             return TOP
-        return frozenset(sub - {p.name})
+        return frozenset(names | sub)
+    if isinstance(p, Restriction):
+        bound = set()
+        q = p
+        while isinstance(q, Restriction):
+            bound.add(q.name)
+            q = q.body
+        sub = free_names(q)
+        if sub is TOP:
+            return TOP
+        return frozenset(sub - bound)
     if isinstance(p, Replication):
         return free_names(p.body)
     if isinstance(p, FunctionApply):
@@ -369,13 +507,22 @@ def _enter_binders(binders, body, mapping):
     return tuple(new_binders), body, m
 
 
+def _flatten(p: PiProcess, cls: type) -> list[PiProcess]:
+    """The operands of a tree of binary ``cls`` nodes, left to right."""
+    out, stack = [], [p]
+    while stack:
+        q = stack.pop()
+        if isinstance(q, cls):
+            stack.append(q.right)
+            stack.append(q.left)
+        else:
+            out.append(q)
+    return out
+
+
 def flatten_parallel(p: PiProcess) -> list[PiProcess]:
-    if isinstance(p, Parallel):
-        return flatten_parallel(p.left) + flatten_parallel(p.right)
-    return [p]
+    return _flatten(p, Parallel)
 
 
 def flatten_choice(p: PiProcess) -> list[PiProcess]:
-    if isinstance(p, Choice):
-        return flatten_choice(p.left) + flatten_choice(p.right)
-    return [p]
+    return _flatten(p, Choice)

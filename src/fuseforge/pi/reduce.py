@@ -9,11 +9,11 @@ lazily, only when the unfolding offers a communication.
 
 ``reduce_all`` searches for every irreducible state, but runs the
 interleavings of tau-confluent steps only once (Groote & van de Pol,
-MFCS 2000; Blom & van de Pol, CAV 2002).  A state with such a step is
-expanded by that step alone; any other state is expanded by every step.
-The confluent steps are the deterministic ones of a translated superstep,
-which computes the same values in whatever order its receives and function
-applications fire:
+MFCS 2000; Blom & van de Pol, CAV 2002).  A state with such a step runs a
+chain of them; any other state is expanded by every step.  The confluent
+steps are the deterministic ones of a translated superstep, which computes
+the same values in whatever order its receives and function applications
+fire:
 
 * a top-level function application whose arguments are all literals,
   when no channel subject is a literal or a name that a communication or
@@ -28,10 +28,30 @@ applications fire:
 
 Such a step stays enabled until it fires, disables no other step and is
 disabled by none, and writes the same value-env entry in any order, so
-firing it first keeps every irreducible state, its step count and the
-non-termination flag.  Nothing is prioritised in a state whose process
-contains a process identifier (its definitions are not inspected) or binds
-one name at two sites.
+firing it first keeps every irreducible state and its step count.  The
+non-termination flag is kept only where runs cannot loop: a confluent
+receive of a copy that a replicated receiver spawned can return to a state
+already visited, leaving the search finite where the full search grows
+without bound.  Nothing is prioritised in a state whose process contains a
+process identifier (its definitions are not inspected) or binds one name
+at two sites.
+
+A chain fires confluent steps one after another on *lifted* terms, not
+normalized ones: after each step, nested parallels are flattened, inactive
+components dropped and the restrictions of components hoisted into the top
+restriction chain under fresh names.  That exposes the next step's
+components to the rule above, keeps every binder distinct, and keeps
+hoisted channels unobservable (a fresh name is never recorded in the
+value env, as a canonically renamed one is not).  Only the chain's end is
+normalized.
+
+A chain always ends, so no cycle proviso is needed: every confluent step
+consumes one top-level input prefix or function application, and creates
+none (the continuation it exposes was already part of the term; a
+replicated sender ``!'c<v..>.0`` leaves only an inactive copy behind).  In
+a term without process identifiers, which is where the rule applies, the
+number of input prefixes and function applications therefore falls by one
+per confluent step.
 
 Replication bodies and identifier definitions must be communication-guarded
 (start with a prefix or a choice of prefixes); that holds for every process
@@ -61,6 +81,7 @@ from .process import (
     TOP,
     flatten_choice,
     free_names,
+    fresh,
     lit,
     nu,
     par,
@@ -378,84 +399,127 @@ class ReduceAllResult:
         return out
 
 
+def _lift(p: PiProcess) -> PiProcess:
+    """``p`` with its top-level components exposed for the next confluent
+    step: nested parallels flattened, inactive components dropped, and the
+    restrictions of components hoisted into the top chain under fresh names
+    (scope extrusion; a fresh name is free nowhere else and bound nowhere
+    else).  Nothing is sorted or renamed canonically."""
+    chain, todo = split_top(p)
+    kids: list[PiProcess] = []
+    todo.reverse()
+    while todo:
+        q = todo.pop()
+        if isinstance(q, Parallel):
+            todo.append(q.right)
+            todo.append(q.left)
+        elif isinstance(q, Restriction):
+            n = fresh(q.name.text)
+            chain.append(n)
+            todo.append(substitute(q.body, {q.name: n}))
+        elif not isinstance(q, Nil):
+            kids.append(q)
+    return nu(chain, par(*kids))
+
+
+def _confluent_chain(state: ReductionState, budget: int) -> tuple[ReductionState, int]:
+    """Fire confluent steps from ``state``, at most ``budget`` of them, on
+    lifted terms; return the last state reached (not normalized) and the
+    number of steps fired."""
+    fired = 0
+    while fired < budget:
+        step = _confluent_step(state)
+        if step is None:
+            break
+        state = replace(step, process=_lift(step.process))
+        fired += 1
+    return state, fired
+
+
 def reduce_all(
     state: ReductionState,
     max_steps: int,
     max_states: int = 200_000,
 ) -> ReduceAllResult:
-    """Breadth-first search for every irreducible state, up to ``max_steps``
-    levels.
+    """Search for every irreducible state within ``max_steps`` steps.
 
-    Each state is expanded by its first tau-confluent step (function
-    applications first, then communications by receiver, in the normalized
-    component order) when it has one and that step leads to a state not yet
-    visited (the cycle proviso); otherwise by every ``reduce_step``
-    successor.  Prioritising the step loses nothing: every maximal run from
-    the state fires it at some point, and moving it to the front of the run
-    reaches the same states.  See the module docstring for the rule.
+    States are expanded in order of depth (steps from ``state``).  A state
+    with a tau-confluent step runs a chain of them: confluent steps fire one
+    after another (see the module docstring for the rule; function
+    applications first, then communications by receiver, in component
+    order) until none is left or the chain reaches depth ``max_steps``, and
+    only the chain's end is normalized, keyed and queued, at the depth of
+    its last step.  Any other state is expanded by every ``reduce_step``
+    successor, one depth further.  A key reached again at a smaller depth
+    before it is expanded moves to that depth, so every state keeps the
+    least step count the search finds for it.
 
     Returns every irreducible state reached within the bound and flags
-    non-termination when the frontier is still nonempty at the bound.
-    Exceeding ``max_states`` distinct states raises ResourceLimitError
-    carrying the partial result; successors are expanded in canonical-key
-    order, so the partial result does not depend on the hash seed.
+    non-termination when a state at depth ``max_steps`` is left unexpanded.
+    ``explored`` counts the states expanded: a chain's intermediate states
+    are neither keyed nor counted.  Exceeding ``max_states`` distinct states
+    raises ResourceLimitError carrying the partial result; successors are
+    expanded in canonical-key order, so the partial result does not depend
+    on the hash seed.
     """
 
     def key_of(s: ReductionState) -> tuple[str, tuple]:
         return canonical_key(s.process), s.value_env
 
     start = replace(state, process=normalize(state.process))
-    frontier: dict[tuple, ReductionState] = {key_of(start): start}
-    visited: set[tuple] = set(frontier)
+    levels: dict[int, dict[tuple, ReductionState]] = {0: {key_of(start): start}}
+    depth_of: dict[tuple, int] = {key: 0 for key in levels[0]}
     irreducible: dict[tuple, ReductionState] = {}
     explored = 0
 
-    for _ in range(max_steps):
-        if not frontier:
+    def enqueue(k: tuple, canon: ReductionState, depth: int) -> None:
+        seen = depth_of.get(k)
+        if seen is not None:
+            if seen <= depth:
+                return
+            # found again, shallower, before its expansion: move it up
+            del levels[seen][k]
+            if not levels[seen]:
+                del levels[seen]
+        depth_of[k] = depth
+        levels.setdefault(depth, {})[k] = canon
+        if len(depth_of) > max_states:
+            partial = ReduceAllResult(
+                irreducible=list(irreducible.values()),
+                non_terminating=True,
+                explored=explored,
+                truncated=True,
+            )
+            raise ResourceLimitError(f"state space exceeded {max_states} nodes", partial=partial)
+
+    while levels:
+        depth = min(levels)
+        if depth >= max_steps:
             break
-        next_frontier: dict[tuple, ReductionState] = {}
-        for s in frontier.values():
+        for s in levels.pop(depth).values():
             explored += 1
+            end, fired = _confluent_chain(s, max_steps - depth)
+            if fired:
+                canon = replace(end, process=normalize(end.process))
+                enqueue(key_of(canon), canon, depth + fired)
+                continue
+            successors = reduce_step(s)
+            if not successors:
+                irreducible.setdefault(key_of(s), s)
+                continue
             canons = []
-            step = _confluent_step(s)
-            if step is not None:
-                canon = replace(step, process=normalize(step.process))
-                k = key_of(canon)
-                # cycle proviso: a step back into the visited set must not
-                # stand for the state's other successors
-                if k not in visited:
-                    canons.append((k, canon))
-            if not canons:
-                successors = reduce_step(s)
-                if not successors:
-                    irreducible.setdefault(key_of(s), s)
-                    continue
-                for succ in successors:
-                    canon = replace(succ, process=normalize(succ.process))
-                    canons.append((key_of(canon), canon))
-                # expand in a fixed order, so a search cut off by max_states
-                # explores the same states whatever the set's iteration order
-                canons.sort(key=lambda kc: (kc[0][0], repr(kc[0][1])))
+            for succ in successors:
+                canon = replace(succ, process=normalize(succ.process))
+                canons.append((key_of(canon), canon))
+            # expand in a fixed order, so a search cut off by max_states
+            # explores the same states whatever the set's iteration order
+            canons.sort(key=lambda kc: (kc[0][0], repr(kc[0][1])))
             for k, canon in canons:
-                if k in visited:
-                    continue
-                visited.add(k)
-                next_frontier[k] = canon
-                if len(visited) > max_states:
-                    partial = ReduceAllResult(
-                        irreducible=list(irreducible.values()),
-                        non_terminating=True,
-                        explored=explored,
-                        truncated=True,
-                    )
-                    raise ResourceLimitError(
-                        f"state space exceeded {max_states} nodes", partial=partial
-                    )
-        frontier = next_frontier
+                enqueue(k, canon, depth + 1)
 
     return ReduceAllResult(
         irreducible=list(irreducible.values()),
-        non_terminating=bool(frontier),
+        non_terminating=bool(levels),
         explored=explored,
         truncated=False,
     )

@@ -7,9 +7,10 @@ value env), their step counts and the non-termination flag.  The corpus is
 every oracle system of the other test modules, generated processes (which
 never offer a confluent step, so they test the fallback), small rings,
 seeded translated systems (where several references make message order
-observable through an order-sensitive compute) and hand-made systems at the
-edges of the rule.  A last test checks the oracle against the runtime on
-generated workloads.
+observable through an order-sensitive compute, or not through ``add``),
+step budgets that cut a chain of confluent steps, and hand-made systems at
+the edges of the rule.  A last test checks the oracle against the runtime
+on generated workloads.
 """
 
 from __future__ import annotations
@@ -194,20 +195,41 @@ def test_generated_processes_match_full_search():
 @pytest.mark.parametrize("agents,steps", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
 def test_rings_match_full_search(agents, steps):
     explored, full = assert_same(ring_state(list(range(5, 5 + agents)), steps))
-    # every step is confluent: four per agent and superstep, plus the start
-    assert explored == 4 * agents * steps + 1 < full
+    # every step is confluent: the start runs one chain to the end state
+    assert explored == 2 < full
+
+
+@pytest.mark.parametrize("max_steps", [10, 24, 25])
+def test_ring_cut_by_the_step_budget_matches_full_search(max_steps):
+    """Ring 3 x 2 takes 24 steps, all in one chain: a budget that ends
+    inside the chain (10) or at its last step (24) leaves it
+    non-terminating; 25 reaches the irreducible state."""
+    assert_same(ring_state([5, 6, 7], 2), max_steps=max_steps)
+
+
+@pytest.mark.parametrize("max_steps", [5, 8, 11, 12, 13])
+def test_multi_reference_system_cut_by_the_step_budget_matches_full_search(max_steps):
+    """Two agents that each read both (12 steps): the budget cuts the first
+    chain (5), the chains after the first full expansion (8), the last
+    chains (11), ends at the last step (12) or cuts nothing (13)."""
+    state, refs, *_ = translated_system(0, 2, 1, 2, ("add",), self_refs=True)
+    assert refs == {0: (0, 1), 1: (0, 1)}
+    assert_same(state, max_steps=max_steps)
 
 
 def test_translated_systems_match_full_search():
     """Two agents that read themselves or each other; with several
-    references, ``lin`` makes the order of the collector's messages show."""
-    ordered = 0
-    for seed in range(6):
-        state, refs, compute, *_ = translated_system(seed, 2, 1, 2, ("lin",), self_refs=True)
-        explored, full = assert_same(state)
-        assert explored < full
-        ordered += "lin" in compute.values()
-    assert ordered >= 3
+    references, ``lin`` makes the order of the collector's messages show,
+    and ``add`` makes every order give one value."""
+    for multi in ("lin", "add"):
+        several = 0
+        for seed in range(6):
+            state, refs, compute, *_ = translated_system(seed, 2, 1, 2, (multi,),
+                                                         self_refs=True)
+            explored, full = assert_same(state)
+            assert explored < full
+            several += multi in compute.values()
+        assert several >= 3
 
 
 def runtime_workload(refs, compute, values) -> Workload:
@@ -243,13 +265,14 @@ def runtime_workload(refs, compute, values) -> Workload:
 
 def test_oracle_agrees_with_runtime_on_generated_workloads():
     """Translated and reduced, a generated workload of up to four agents and
-    two supersteps gives the runtime's values in every irreducible state.
-    Agents with several references add them, so the runtime's message
-    order cannot matter."""
+    two supersteps, each agent reading up to three others, gives the
+    runtime's values in every irreducible state.  Agents with several
+    references add them, so the runtime's message order cannot matter."""
     for seed in range(8):
         rng = random.Random(seed)
         agents, steps = rng.randint(2, 4), rng.randint(1, 2)
-        state, refs, compute, values, finals = translated_system(seed, agents, steps, 1, ("add",))
+        state, refs, compute, values, finals = translated_system(seed, agents, steps, agents,
+                                                                 ("add",))
         result = reduce_all(state, max_steps=200)
         assert not result.non_terminating and result.irreducible
 

@@ -15,6 +15,7 @@ from fuseforge.pi import (
     Parallel,
     Replication,
     Restriction,
+    bang,
     canonical_key,
     initial_state,
     inp,
@@ -290,3 +291,26 @@ def test_symmetric_chains_normalize_without_factorial_search(shape):
     form = normalize(nu(n, par(*kids)))
     congruence.clear_caches()
     assert normalize(form) == form
+
+
+def test_deep_terms_compare_and_normalize():
+    """Equality and normalization survive terms nested deeper than the
+    recursion limit: two separately built compositions of 600 replicated
+    outputs, and two chains of 600 prefixes."""
+    def wide(last):
+        return par(*[bang(out(c, lit(i))) for i in range(599)], bang(out(c, lit(last))))
+
+    p, q, other = wide(599), wide(599), wide(-1)
+    assert p is not q and p == q and p != other
+
+    def deep(last):
+        t = out(c, lit(last))
+        for i in range(599):
+            t = out(c, lit(i), t)
+        return t
+
+    assert deep(0) == deep(0) and deep(0) != deep(1)
+    congruence.clear_caches()
+    form = normalize(p)
+    assert normalize(q) == form and normalize(form) == form
+    assert normalize(other) != form

@@ -1,4 +1,4 @@
-"""BSP executor: per-partition kernels, mailbox delivery, partition workers.
+"""BSP executor: per-partition kernels, slot-addressed mail, partition workers.
 
 Execution follows the synchronous BSP contract: messages sent in superstep t
 are readable only in t+1.  Every agent's out-message of the previous round
@@ -6,51 +6,75 @@ lives in one flat message buffer of n entries, indexed by agent id.  A
 staged read, and a cache slot the receiver reads without the remote pass,
 is the id of its source agent: a cache slot holds exactly its source's
 message, so it aliases that entry, and caches remain only the wire-unit
-model.  An agent's inputs are its reads from that buffer plus its mailbox.
+model.  An agent's inputs are its reads from that buffer plus its mail.
 Agents write the next round's buffer, which swaps with the previous one at
 the barrier; agent values are updated in place, since no agent reads
-another's value directly.  The buffer and the mailboxes are seeded with each
-agent's initial-value message, so staged reads at superstep 0 match
-message-passing mode exactly.
+another's value directly.
+
+Mail: every mail edge (a sender the receiver reaches by mail rather than by
+a read, or an aggregator folding into its target) owns one fixed slot of a
+flat mail array, and each receiver's slots are contiguous.  A sender writes
+its out-message into each of its slots every round, None included, so a
+slot always holds the last round's value; a receiver reads its range as one
+slice and drops the Nones.  Two mail arrays alternate at the barrier like
+the message buffers.  Slots are disjoint, so partitions write them without
+outboxes, and the barrier only folds aggregator partials into their slots.
+The mail array and the message buffer are seeded with each agent's
+initial-value message, so staged reads at superstep 0 match message-passing
+mode exactly.
+
+Mail order: a slot's place in its receiver's range is the order the
+receiver folds it in, the same in every round: superstep 0's seeded mail
+reaches a commutative fold in arrival order too, not by sender.  An
+order-sensitive contract folds in ascending sender order; a receiver of
+such a contract that also has buffer reads folds through one
+ascending-sender list of buffer indices and slots built at compile time.  A
+commutative contract, and any contract that declares ``fold="add"`` (int
+addition is exact in any order), folds its reads, then its mail in arrival
+order: the senders of its own partition in execution order, then each other
+partition's senders in partition order, each in execution order, then the
+aggregator partials in aggregator order (aggregation pushdown only targets
+commutative folds).  That is the order a message-passing runtime that
+delivers local mail as it is sent and fans out each partition's
+cross-partition mail at the barrier would give.  Since the order is fixed
+in the layout, and an agent writes only its own value, buffer entry and
+slots, which nothing reads before the barrier, a partition's agents run
+grouped in any order.
 
 Kernels: the engine does not interpret plans per agent.  At compile time it
 groups each partition's agents by (contract, read arity, mail shape), the
 mail shape saying whether the agent receives mail and whether it sends mail,
 and runs each group with one generated Python function over a constant
 table.  A row of the table is ``(a, i0, .., ik)``: the agent and the buffer
-indices of its reads, in ascending source order, followed by its local and
-cross-partition receivers when it sends mail.  The kernel's loop is
-``f = fold(prev[i0], .., prev[ik]); s = update(values[a], f); values[a] = s;
-nxt[a] = state_to_message(s)``.  A contract that declares ``fold="add"``
-folds with an inline ``+`` expression, falling back to ``partial_compute``
-over the messages actually sent when one of them is None; every other
-contract calls ``partial_compute`` on a list literal.  Generated code depends
-only on the group's shape, so groups of one shape share one code object.  A
-key whose read arity exceeds the number of agents sharing it (a hub) keeps
-each row's reads as one tuple instead of unpacking them, so the generated
-code stays linear in the number of agents.
+indices of its reads, in ascending source order, followed by its slot range
+``o, e`` when it receives mail and by its slots and cross-partition slot
+count when it sends mail.  The kernel's loop is ``f = fold(prev[i0], ..,
+prev[ik]); s = update(values[a], f); values[a] = s; nxt[a] =
+state_to_message(s)``.  A contract that declares ``fold="add"`` folds with
+an inline ``+`` expression, falling back to ``partial_compute`` over the
+messages actually sent when one of them is None; every other contract calls
+``partial_compute`` on a list literal.  Generated code depends only on the
+group's shape, so groups of one shape share one code object, compiled once
+per process.  A key whose read arity exceeds the number of agents sharing
+it (a hub) keeps each row's reads as one tuple instead of unpacking them,
+so the generated code stays linear in the number of agents.
 
-Mail order: a mailbox sees the order in which its senders ran, and a
-commutative float fold consumes mail in that order.  Agents that send mail
-therefore run in execution order: consecutive senders of one group share a
-table, and those tables run in execution order.  Agents that send no mail
-write only their own value and buffer entry, which nothing reads before the
-barrier, so they run grouped in any order.
-
-Determinism: order-sensitive contracts consume their inputs in ascending
-sender order, per-agent RNG streams live inside agent values, and
-worker-local cross-partition outboxes are merged at the barrier in partition
-order, so the final state is bit-identical for any thread count and any
-merged-order permutation.
+Determinism: every fold consumes its inputs in an order fixed at compile
+time, per-agent RNG streams live inside agent values, and each partition
+writes only its own agents' buffer entries and its senders' slots, so the
+final state is bit-identical for any thread count and any merged-order
+permutation.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
+from bisect import bisect_left
 from collections import Counter, defaultdict
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import itemgetter
 
 from .equations import ComputeMethodContract, check_tag
@@ -127,20 +151,22 @@ def _kernel_source(arity: int | None, add: bool, receive: str | None, sends: boo
 
     ``arity`` None means each row holds its reads as one tuple ``I``.
     ``receive`` is None (no mail ever arrives), ``"merged"`` (an
-    order-sensitive fold: reads and mail merged by sender) or
-    ``"arrival"`` (a commutative fold: reads, then mail in arrival order).
+    order-sensitive fold: reads and mail merged by sender, so a row with
+    reads lists buffer indices ``i`` and slots ``~j`` in ascending sender
+    order as ``I``) or ``"arrival"`` (a commutative or ``add`` fold: reads,
+    then mail in slot order).
     """
     if arity is None:
         row = ["a", "I"]
-        index = "I"
         listed = "[prev[i] for i in I]"
     else:
         idx = [f"i{j}" for j in range(arity)]
         row = ["a", *idx]
-        index = "(" + "".join(f"{i}, " for i in idx) + ")"
         listed = "[" + ", ".join(f"prev[{i}]" for i in idx) + "]"
+    if receive is not None:
+        row += ["o", "e"]
     if sends:
-        row += ["L", "X"]
+        row += ["J", "x"]
 
     # the fold of the reads alone, into f
     if arity == 0:
@@ -156,64 +182,53 @@ def _kernel_source(arity: int | None, add: bool, receive: str | None, sends: boo
         fold = [f"ms = {listed}",
                 "f = pc(ms) if None not in ms else _present(ms, pc)"]
 
+    present = ["if None in ms:",
+               "    ms = [m for m in ms if m is not None]"]
     if receive is None:
         body = fold
     elif add:
         # int addition is exact, so mail joins the sum in any order
         body = [*fold,
-                "inbox = mb[a]",
-                "if inbox:",
-                "    t = sum([p for _, p in inbox])",
-                "    f = t if f is None else f + t",
-                "    inbox.clear()"]
-    elif receive == "merged":
-        merge = [] if arity == 0 else [
-            f"    inbox += [(i, prev[i]) for i in {index} if prev[i] is not None]"]
-        body = ["inbox = mb[a]",
-                "if inbox:",
-                *merge,
-                "    inbox.sort(key=_sender)",
-                "    f = pc([p for _, p in inbox])",
-                "    inbox.clear()",
-                "else:",
-                *("    " + line for line in fold)]
+                "ms = mb[o:e]",
+                *present,
+                "if ms:",
+                "    t = sum(ms)",
+                "    f = t if f is None else f + t"]
     else:
-        body = [f"ms = {listed}",
-                "if None in ms:",
-                "    ms = [m for m in ms if m is not None]",
-                "inbox = mb[a]",
-                "if inbox:",
-                "    ms += [p for _, p in inbox]",
-                "    inbox.clear()",
-                "f = pc(ms) if ms else None"]
+        if receive == "merged" and arity is None:
+            gather = "ms = [prev[i] if i >= 0 else mb[~i] for i in I]"
+        elif arity == 0:
+            gather = "ms = mb[o:e]"
+        else:
+            gather = f"ms = {listed} + mb[o:e]"
+        body = [gather, *present, "f = pc(ms) if ms else None"]
 
     body += ["s = up(values[a], f)", "values[a] = s"]
     if sends:
         body += ["out = sm(s)",
                  "nxt[a] = out",
+                 "for j in J:",
+                 "    mn[j] = out",
                  "if out is not None:",
-                 "    item = (a, out)",
-                 "    if L:",
-                 "        logical += len(L)",
-                 "        for r in L:",
-                 "            mn[r].append(item)",
-                 "    if X:",
-                 "        crossed += len(X)",
-                 "        shard.append((X, item))"]
+                 "    logical += len(J)",
+                 "    crossed += x"]
     else:
         body += ["nxt[a] = sm(s)"]
 
-    lines = ["def kernel(T, prev, nxt, values, mb, mn, shard, counter, pc, up, sm):"]
+    lines = ["def kernel(T, prev, nxt, values, mb, mn, counter, pc, up, sm):"]
     if sends:
         lines.append("    logical = crossed = 0")
     lines.append(f"    for {', '.join(row)}{',' if len(row) == 1 else ''} in T:")
     lines += ["        " + line for line in body]
     if sends:
-        lines += ["    counter[0] += logical + crossed", "    counter[1] += crossed"]
+        lines += ["    counter[0] += logical", "    counter[1] += crossed"]
     return "\n".join(lines) + "\n"
 
 
+@lru_cache(maxsize=64)
 def _make_kernel(shape: tuple):
+    """The kernel of one group shape; shapes recur across engines, and each
+    compile costs about half a millisecond."""
     namespace: dict = {}
     exec(compile(_kernel_source(*shape), f"<fuseforge kernel {shape}>", "exec"),
          globals(), namespace)
@@ -225,17 +240,15 @@ class Engine:
 
     ``programs[p]`` holds partition p's steps in the order they run, each
     ``(kernel, table, partial_compute, update_state, state_to_message)``.
-    One step covers one group of agents with the same contract, read arity
-    and mail shape; a step of mail senders covers a run of consecutive
-    senders in execution order, so every mailbox receives its mail in the
-    order the plan's execution order implies.  Every agent the partition
-    runs is in exactly one row of one table.  Kernels are generated once per
-    group shape for this engine and shared by every group of that shape.
+    One step covers the partition's agents of one contract, read arity and
+    mail shape.  Every agent the partition runs is in exactly one row of one
+    table.  ``slots`` is the length of the mail array; ``slots_of`` maps each
+    mail sender to its slots, and ``aggregator_slots[k]`` is the slot of
+    ``aggregators[k]``'s partial.
     """
 
     def __init__(self, workload, plans: list[PartitionPlan], track_inbound: tuple[int, ...] = ()):
         self.workload = workload
-        self.plans = plans
         self.track_inbound = tuple(track_inbound)
         n = workload.graph.vertex_count
         self.n = n
@@ -254,18 +267,48 @@ class Engine:
         caches = {key for plan in plans for key in plan.outbound_caches}
         self.cache_count = len(caches)
 
-        # per reader: the sources it reads from the buffer, ascending, and the
-        # senders that reach it by mailbox (whatever no staged read or cache
-        # slot covers; aggregation pushdown has already dropped the senders
-        # its aggregators fold)
+        orders = [plan.merged_order if plan.merged_order is not None else plan.agent_ids
+                  for plan in plans]
+        # seq: position in the order every partition's agents run, partition
+        # after partition; mail arrival follows it
+        seq = [0] * n
+        for k, a in enumerate(a for order in orders for a in order):
+            seq[a] = k
+        self.aggregators = [agg for plan in plans for agg in plan.aggregators]
+        aggs_of: defaultdict[int, list[int]] = defaultdict(list)  # by target
+        for k, agg in enumerate(self.aggregators):
+            aggs_of[agg.target_agent].append(k)
+        self.aggregator_slots = [0] * len(self.aggregators)
+
+        # per reader: the sources it reads from the buffer, ascending, and its
+        # mail sources: whatever no staged read or cache slot covers, plus
+        # the aggregators folding into it (aggregation pushdown has already
+        # dropped the senders they fold), laid out as its slots [o, e) in
+        # the order it folds them
         self.contract_of: list[ComputeMethodContract] = [None] * n  # type: ignore
         compute_of: list[str] = [""] * n
-        row_of: list[tuple[int, ...]] = [()] * n  # (agent, *its reads)
+        row_of: list[tuple] = [()] * n  # (agent, *its reads[, o, e])
+        arity_of = [0] * n
         receives = [False] * n
-        local_to: defaultdict[int, list[int]] = defaultdict(list)
-        cross_to: defaultdict[int, list[int]] = defaultdict(list)
+        slots_of: list[array | None] = [None] * n  # per sender: its slots, ascending
+        # a fold that mail order cannot change: a commutative one, or an
+        # inline int addition, which is exact in any order
+        arrival = {name: c.pushdown_eligible or c.fold == "add"
+                   for name, c in workload.contracts.items()}
+        tracked = set(self.track_inbound)
+        # per tracked agent: its first slot and the sender of each of its
+        # slots, an aggregator's synthetic id for a partial
+        self._senders: dict[int, tuple[int, tuple[int, ...]]] = {}
+        partition_of = self.partition_of
+        slot = 0
+        owned = {}  # per partition: the range of slots its agents own
         for plan in plans:
             pid = plan.partition.id
+            first = slot
+
+            def arrived(s: int) -> int:  # this partition's senders first
+                return seq[s] if partition_of[s] == pid else seq[s] + n
+
             for a, ap in plan.per_agent.items():
                 compute_of[a] = ap.equation.compute
                 self.contract_of[a] = workload.contracts[ap.equation.compute]
@@ -281,54 +324,78 @@ class Engine:
                         gather.append(src)
                     else:
                         mail.append(src)
-                mail.extend(rn.dynamic)
-                row_of[a] = (a, *sorted(gather))
-                receives[a] = bool(mail)
-                for s in mail:
-                    (local_to if self.partition_of[s] == pid else cross_to)[s].append(a)
+                mail += rn.dynamic
+                gather.sort()
+                arity_of[a] = len(gather)
+                in_arrival = arrival[compute_of[a]]
+                mail.sort(key=arrived if in_arrival else None)
+                o = slot
+                for j, s in enumerate(mail, o):
+                    J = slots_of[s]
+                    if J is None:
+                        J = slots_of[s] = array("l")
+                    J.append(j)
+                slot += len(mail)
+                aggs = aggs_of.get(a, ())
+                for k in aggs:
+                    self.aggregator_slots[k] = slot
+                    slot += 1
+                if slot == o:
+                    row_of[a] = (a, *gather)
+                    continue
+                receives[a] = True
+                if gather and not in_arrival:
+                    # an order-sensitive fold of reads and mail reads both
+                    # through one ascending-sender list, slot j as ~j
+                    by_sender = sorted([*zip(mail, range(~o, ~slot, -1)), *zip(gather, gather)],
+                                       key=_sender)
+                    row_of[a] = (a, tuple(i for _, i in by_sender), o, slot)
+                else:
+                    row_of[a] = (a, *gather, o, slot)
+                if a in tracked:
+                    self._senders[a] = (o, (*mail, *(self.aggregators[k].ref.synthetic_id
+                                                     for k in aggs)))
+            owned[pid] = first, slot
+        self.slots = slot
+        self.slots_of = {s: J for s, J in enumerate(slots_of) if J}
+        # per sender: how many of its slots other partitions own
+        crossing = [0] * n
+        for s, J in self.slots_of.items():
+            lo, hi = owned[partition_of[s]]
+            crossing[s] = len(J) - bisect_left(J, hi) + bisect_left(J, lo)
 
-        # per sender: its mail readers in its own partition and in others;
-        # agents that send no mail share one empty tuple
-        self.local_to: list[Sequence[int]] = [local_to.get(a, ()) for a in range(n)]
-        self.cross_to: list[Sequence[int]] = [cross_to.get(a, ()) for a in range(n)]
-        self.aggregators = [agg for plan in plans for agg in plan.aggregators]
-
-        for agg in self.aggregators:
-            receives[agg.target_agent] = True
-        sends = [bool(local or cross) for local, cross in zip(self.local_to, self.cross_to)]
         # one shared tuple per distinct key: n live key tuples would add work
         # for the cyclic collector during set-up
         interned: dict[tuple, tuple] = {}
-        key_of = [interned.setdefault(key, key) for key in
-                  zip(compute_of, (len(row) - 1 for row in row_of), receives, sends)]
-        # a key with more reads than agents keeps each row's reads as one tuple
-        unrolled = {key: key[1] <= count for key, count in Counter(key_of).items()}
+        key_of = [interned.setdefault(key, key) for key in zip(
+            compute_of, arity_of, receives, (a in self.slots_of for a in range(n)))]
+        shape_of = {}
+        for key, count in Counter(key_of).items():
+            compute, arity, receiving, sending = key
+            c = workload.contracts[compute]
+            receive = ("arrival" if arrival[compute] else "merged") if receiving else None
+            # a key with more reads than agents keeps each row's reads as one
+            # tuple, and so does an order-sensitive fold of reads and mail
+            tupled = arity > count or (receive == "merged" and arity > 0)
+            shape_of[key] = (None if tupled else arity, c.fold == "add", receive, sending)
 
-        kernels: dict[tuple, object] = {}
         self.programs: list[list[tuple]] = []
-        for plan in plans:
-            order = plan.merged_order if plan.merged_order is not None else plan.agent_ids
-            quiet: dict[tuple, list] = {}  # agents that send no mail, by key
-            senders: list[tuple[tuple, list]] = []  # runs of one key, in order
+        for order in orders:
+            groups: dict[tuple, list] = {}
             for a in order:
                 key = key_of[a]
-                row = row_of[a] if unrolled[key] else (a, row_of[a][1:])
+                row = row_of[a]
+                if shape_of[key][0] is None and shape_of[key][2] != "merged":
+                    k = key[1] + 1
+                    row = (a, row[1:k], *row[k:])
                 if key[3]:
-                    if not senders or senders[-1][0] != key:
-                        senders.append((key, []))
-                    senders[-1][1].append((*row, self.local_to[a], self.cross_to[a]))
-                else:
-                    quiet.setdefault(key, []).append(row)
+                    row += (self.slots_of[a], crossing[a])
+                groups.setdefault(key, []).append(row)
             program = []
-            for key, rows in (*quiet.items(), *senders):
-                _, arity, receiving, sending = key
+            for key, rows in groups.items():
                 c = self.contract_of[rows[0][0]]
-                receive = ("arrival" if c.pushdown_eligible else "merged") if receiving else None
-                shape = (arity if unrolled[key] else None, c.fold == "add", receive, sending)
-                if shape not in kernels:
-                    kernels[shape] = _make_kernel(shape)
-                program.append((kernels[shape], tuple(rows), c.partial_compute, c.update_state,
-                                c.state_to_message))
+                program.append((_make_kernel(shape_of[key]), tuple(rows), c.partial_compute,
+                                c.update_state, c.state_to_message))
             self.programs.append(program)
 
         # merged but uncached partitions tag each cross message with a header
@@ -347,32 +414,27 @@ class Engine:
 
         values: list = [wl.initial_values[a] for a in range(n)]
         # superstep-0 seeding: initial-value sends arrive at round 0
-        prev: list = [None] * n
+        prev: list = [self.contract_of[a].state_to_message(values[a]) for a in range(n)]
         nxt: list = [None] * n
-        mailbox: list[list] = [[] for _ in range(n)]
-        for a in range(n):
-            out = self.contract_of[a].state_to_message(values[a])
-            prev[a] = out
-            if out is not None:
-                for r in (*self.local_to[a], *self.cross_to[a]):
-                    mailbox[r].append((a, out))
-        self._fold_aggregates(prev, mailbox)
-        # consumers empty their mailbox lists, so the two sets alternate
-        mail_next: list[list] = [[] for _ in range(n)]
+        mb: list = [None] * self.slots
+        mn: list = [None] * self.slots
+        for s, slots in self.slots_of.items():
+            out = prev[s]
+            for j in slots:
+                mb[j] = out
+        self._fold_aggregates(prev, mb)
 
         programs = self.programs
         pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
         try:
             for _ in range(rounds):
                 t0 = time.perf_counter()
-                shards = [[] for _ in programs]  # per worker: (readers, (sender, payload))
                 counters = [[0, 0] for _ in programs]  # logical, cross-partition
 
                 def work(idx: int) -> None:
-                    shard, counter = shards[idx], counters[idx]
+                    counter = counters[idx]
                     for kernel, table, pc, up, sm in programs[idx]:
-                        kernel(table, prev, nxt, values, mailbox, mail_next, shard, counter,
-                               pc, up, sm)
+                        kernel(table, prev, nxt, values, mb, mn, counter, pc, up, sm)
 
                 if pool is None:
                     for i in range(len(programs)):
@@ -380,12 +442,8 @@ class Engine:
                 else:
                     list(pool.map(work, range(len(programs))))
 
-                # barrier: merge cross-partition shards in partition order
-                for shard in shards:
-                    for readers, item in shard:
-                        for r in readers:
-                            mail_next[r].append(item)
-                folded = self._fold_aggregates(nxt, mail_next)
+                # barrier: aggregator partials into their slots
+                folded = self._fold_aggregates(nxt, mn)
 
                 # one wire unit per directed cache per round, plus one per
                 # dynamic/aggregated cross-partition message
@@ -394,7 +452,7 @@ class Engine:
                 wire = cross + folded + self.cache_count
                 header = cross if self.cross_header else 0
 
-                mailbox, mail_next = mail_next, mailbox
+                mb, mn = mn, mb
                 prev, nxt = nxt, prev
 
                 metrics.wall_seconds_per_round.append(time.perf_counter() - t0)
@@ -403,9 +461,11 @@ class Engine:
                 metrics.header_units_per_round.append(header)
                 for a in self.track_inbound:
                     home = self.partition_of[a]
+                    o, senders = self._senders.get(a, (0, ()))
+                    sent = [s for s, m in zip(senders, mb[o:o + len(senders)]) if m is not None]
                     metrics.inbound_wire_by_agent[a].append(sum(
-                        1 for s, _ in mailbox[a] if s < 0 or self.partition_of[s] != home))
-                    metrics.inbound_total_by_agent[a].append(len(mailbox[a]))
+                        1 for s in sent if s < 0 or self.partition_of[s] != home))
+                    metrics.inbound_total_by_agent[a].append(len(sent))
         finally:
             if pool is not None:
                 pool.shutdown()
@@ -413,17 +473,17 @@ class Engine:
         state = SimulationState(superstep=rounds, agent_values={a: values[a] for a in range(n)})
         return state, metrics
 
-    def _fold_aggregates(self, outs: list, mailbox: list[list]) -> int:
-        """Ship each aggregator's fold of its senders' messages in ``outs`` to
-        its target's mailbox; returns the number of partials shipped."""
+    def _fold_aggregates(self, outs: list, mail: list) -> int:
+        """Write each aggregator's fold of its senders' messages in ``outs``
+        into its slot of ``mail``, None when none sent; returns the number
+        of partials shipped."""
         shipped = 0
-        for agg in self.aggregators:
-            target = agg.target_agent
-            c = self.contract_of[target]
+        for agg, slot in zip(self.aggregators, self.aggregator_slots):
+            c = self.contract_of[agg.target_agent]
             batch = [outs[s] for s in agg.senders if outs[s] is not None]
-            partial = c.partial_compute(batch) if batch else None
-            if partial is not None:
-                mailbox[target].append((agg.ref.synthetic_id, partial))
+            out = c.partial_compute(batch) if batch else None
+            mail[slot] = out
+            if out is not None:
                 shipped += 1
         return shipped
 

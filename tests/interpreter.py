@@ -1,21 +1,26 @@
-"""Test-only reference executor: the per-agent interpreted loop that the
-engine's generated kernels replaced.
+"""Test-only reference executor: the per-agent interpreted loop over
+``(sender, payload)`` mailbox lists that the engine's generated kernels and
+slot-addressed mail replaced.
 
-``interpreted(engine)`` resolves each agent's buffer reads and mail routes
-from the plans on its own, then runs every partition as one step whose
-"kernel" interprets the plan agent by agent in execution order: gather the
-reads, merge the mailbox, fold, update, send.  It shares the engine's
-seeding, barrier, aggregator folds and metrics, so a difference from the
-engine is a difference in the kernels or their tables.
+``Interpreter(workload, plans, track_inbound)`` resolves each agent's
+buffer reads and mail routes from the plans on its own, apart from the
+engine, and runs every partition agent by agent in execution order: gather
+the reads, merge the mailbox, fold, update, send.  A sender appends its
+message to each local receiver's mailbox as it runs and leaves one outbox
+entry for its cross-partition receivers; the barrier fans the outboxes out
+in partition order and then appends each aggregator's partial.  An
+order-sensitive receiver sorts its mailbox and reads by sender; a
+commutative one takes its reads, then its mail as it arrived.  Superstep
+0's seeded mail is delivered the same way, so every round sees one mail
+order.
 """
 
 from __future__ import annotations
 
-import copy
 from operator import itemgetter
 
 from fuseforge.optimizer import RefinedNeighbors
-from fuseforge.runtime import Engine
+from fuseforge.runtime import Metrics, SimulationState
 
 _sender = itemgetter(0)
 
@@ -52,58 +57,102 @@ def resolve(plans, contracts, partition_of):
     return [(contract_of[a], reads[a], local_to[a], cross_to[a]) for a in range(n)]
 
 
-def interpret(T, prev, nxt, values, mailbox, mail_next, shard, counter, *_):
-    """Run one partition's agents in execution order, one at a time; ``T``
-    holds ``(agent, contract, reads, local receivers, cross receivers)``."""
-    logical = crossed = 0
-    for agent, c, indices, local, cross in T:
-        msgs = [prev[i] for i in indices]
-        inbox = mailbox[agent]
-        if inbox and not c.pushdown_eligible:
-            # order-sensitive fold: merge the reads into the mailbox by
-            # sender (such contracts never receive aggregated partials)
-            if indices:
-                inbox.extend([(i, m) for i, m in zip(indices, msgs)
-                              if m is not None])
-            inbox.sort(key=_sender)
-            msgs = [p for _, p in inbox]
-            inbox.clear()
-        elif None in msgs:
-            msgs = [m for m in msgs if m is not None]
-        if inbox:
-            # commutative fold: mail is consumed in arrival order
-            msgs.extend([p for _, p in inbox])
-            inbox.clear()
+class Interpreter:
+    """The plans run agent by agent over mailbox lists; ``run`` returns
+    what ``Engine.run`` returns."""
 
-        folded = c.partial_compute(msgs) if msgs else None
-        new_value = c.update_state(values[agent], folded)
-        values[agent] = new_value
+    def __init__(self, workload, plans, track_inbound=()):
+        self.workload = workload
+        self.track_inbound = tuple(track_inbound)
+        n = workload.graph.vertex_count
+        self.partition_of = [0] * n
+        for plan in plans:
+            for a in plan.agent_ids:
+                self.partition_of[a] = plan.partition.id
+        self.per_agent = resolve(plans, workload.contracts, self.partition_of)
+        self.orders = [plan.merged_order if plan.merged_order is not None else plan.agent_ids
+                       for plan in plans]
+        self.aggregators = [agg for plan in plans for agg in plan.aggregators]
+        self.cache_count = len({key for plan in plans for key in plan.outbound_caches})
+        passes = plans[0].passes if plans else frozenset()
+        self.cross_header = "merge" in passes and "cache" not in passes
 
-        out = c.state_to_message(new_value)
-        nxt[agent] = out
-        if out is not None:
-            item = (agent, out)
-            if local:
-                logical += len(local)
-                for r in local:
-                    mail_next[r].append(item)
-            if cross:
-                logical += len(cross)
-                crossed += len(cross)
-                shard.append((cross, item))
-    counter[0] += logical
-    counter[1] += crossed
+    def _send(self, a, out, mailbox, outbox) -> tuple[int, int]:
+        """Mail ``a``'s message ``out``; returns (logical, cross-partition)."""
+        if out is None:
+            return 0, 0
+        _, _, local, cross = self.per_agent[a]
+        for r in local:
+            mailbox[r].append((a, out))
+        if cross:
+            outbox.append((cross, (a, out)))
+        return len(local) + len(cross), len(cross)
 
+    def _barrier(self, outboxes, outs, mailbox) -> int:
+        """Fan the outboxes out in partition order, then append each
+        aggregator's partial; returns the number of partials."""
+        for outbox in outboxes:
+            for receivers, item in outbox:
+                for r in receivers:
+                    mailbox[r].append(item)
+        shipped = 0
+        for agg in self.aggregators:
+            c = self.per_agent[agg.target_agent][0]
+            batch = [outs[s] for s in agg.senders if outs[s] is not None]
+            if batch:
+                partial = c.partial_compute(batch)
+                if partial is not None:
+                    mailbox[agg.target_agent].append((agg.ref.synthetic_id, partial))
+                    shipped += 1
+        return shipped
 
-def interpreted(engine: Engine) -> Engine:
-    """A copy of ``engine`` whose every partition runs ``interpret`` over
-    its agents in execution order, in place of the engine's kernels."""
-    plans = engine.plans
-    per_agent = resolve(plans, engine.workload.contracts, engine.partition_of)
-    reference = copy.copy(engine)
-    reference.programs = []
-    for plan in plans:
-        order = plan.merged_order if plan.merged_order is not None else plan.agent_ids
-        table = tuple((a, *per_agent[a]) for a in order)
-        reference.programs.append([(interpret, table, None, None, None)])
-    return reference
+    def run(self, rounds: int) -> tuple[SimulationState, Metrics]:
+        n = len(self.per_agent)
+        metrics = Metrics(rounds=rounds, threads=1, seed=0)
+        for a in self.track_inbound:
+            metrics.inbound_wire_by_agent[a] = []
+            metrics.inbound_total_by_agent[a] = []
+        values = [self.workload.initial_values[a] for a in range(n)]
+        prev = [self.per_agent[a][0].state_to_message(values[a]) for a in range(n)]
+        mailbox = [[] for _ in range(n)]
+        outboxes = [[] for _ in self.orders]
+        for order, outbox in zip(self.orders, outboxes):
+            for a in order:
+                self._send(a, prev[a], mailbox, outbox)
+        self._barrier(outboxes, prev, mailbox)
+
+        for _ in range(rounds):
+            nxt = [None] * n
+            mail_next = [[] for _ in range(n)]
+            outboxes = [[] for _ in self.orders]
+            logical = crossed = 0
+            for order, outbox in zip(self.orders, outboxes):
+                for a in order:
+                    c, reads, _, _ = self.per_agent[a]
+                    if c.pushdown_eligible:
+                        msgs = [prev[i] for i in reads] + [p for _, p in mailbox[a]]
+                    else:
+                        merged = sorted([*mailbox[a], *((i, prev[i]) for i in reads)],
+                                        key=_sender)
+                        msgs = [p for _, p in merged]
+                    msgs = [m for m in msgs if m is not None]
+                    folded = c.partial_compute(msgs) if msgs else None
+                    values[a] = c.update_state(values[a], folded)
+                    nxt[a] = c.state_to_message(values[a])
+                    sent, cross = self._send(a, nxt[a], mail_next, outbox)
+                    logical += sent
+                    crossed += cross
+            folded = self._barrier(outboxes, nxt, mail_next)
+            mailbox, prev = mail_next, nxt
+
+            metrics.logical_messages_per_round.append(logical + folded)
+            metrics.wire_units_per_round.append(crossed + folded + self.cache_count)
+            metrics.header_units_per_round.append(crossed if self.cross_header else 0)
+            for a in self.track_inbound:
+                home = self.partition_of[a]
+                metrics.inbound_wire_by_agent[a].append(sum(
+                    1 for s, _ in mailbox[a] if s < 0 or self.partition_of[s] != home))
+                metrics.inbound_total_by_agent[a].append(len(mailbox[a]))
+
+        state = SimulationState(superstep=rounds, agent_values=dict(enumerate(values)))
+        return state, metrics

@@ -1,15 +1,16 @@
-"""Generated partition kernels against the interpreted per-agent loop they
-replaced (``interpreter.py``): the same final state and the same per-round
-logical, wire, header and tracked-inbound counts on every valid pass subset
-and partitioner of the differential suite, at 1, 2 and 8 threads.
+"""Generated partition kernels and slot-addressed mail against the
+interpreted per-agent loop over mailbox lists they replaced
+(``interpreter.py``): the same final state and the same per-round logical,
+wire, header and tracked-inbound counts on every valid pass subset and
+partitioner of the differential suite, at 1, 2 and 8 threads.
 
 The matrix reaches every kernel variant: ``unopt`` runs every agent at read
 arity 0 with mail in and out; PageRank sends None and folds floats in
 ascending sender order; tolerance-mode PageRank folds floats in mail arrival
-order, so a kernel that ran mail senders out of execution order would change
-its sums; the declared ``add`` folds of gol, epidemics and economics run
-inline, with and without mail; economics' market reads more sources than
-there are agents of its shape, so its rows keep their reads as one tuple.
+order, so a slot layout out of arrival order would change its sums; the
+declared ``add`` folds of gol, epidemics and economics run inline, with and
+without mail; economics' market reads more sources than there are agents of
+its shape, so its rows keep their reads as one tuple.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fuseforge.graphgen import erm, partition_greedy
 from fuseforge.optimizer import MODE_PASSES, default_pipeline
 from fuseforge.runtime import Engine
 from fuseforge.workloads import build_gol, build_pagerank, state_checksum
-from interpreter import interpreted, resolve
+from interpreter import Interpreter, resolve
 from test_differential import WORKLOADS as DIFFERENTIAL_WORKLOADS
 from test_differential import drop_a_third_of_marks, partitionings, valid_pass_subsets
 
@@ -74,7 +75,7 @@ def test_kernels_match_the_interpreted_loop(workload, dynamic):
                                      pushdown_targets=wl.pushdown_targets)
             engine = Engine(wl, plans, track)
             check_structure(engine, wl, plans)
-            want = observe(wl, interpreted(engine).run(ROUNDS))
+            want = observe(wl, Interpreter(wl, plans, track).run(ROUNDS))
             for threads in THREADS:
                 got = observe(wl, engine.run(ROUNDS, threads=threads))
                 assert got == want, (partitioner, sorted(passes), threads)
@@ -92,3 +93,14 @@ def test_gol_full_compiles_one_kernel_per_group_key():
     engine = Engine(wl, plans)
     assert group_keys(engine, wl, plans) == {("gol", 8, False, False)}
     check_structure(engine, wl, plans)
+
+
+def test_engines_share_compiled_kernels():
+    """A kernel shape is compiled once per process: a second engine over the
+    same shapes runs the first engine's code objects."""
+    wl = build_gol(12, 12, seed=0)
+    plans = default_pipeline(partition_greedy(wl.graph, 36, 0), wl.equations,
+                             wl.static_marks, MODE_PASSES["unopt"])
+    first, second = ([kernel.__code__ for program in Engine(wl, plans).programs
+                      for kernel, *_ in program] for _ in range(2))
+    assert first and all(a is b for a, b in zip(first, second, strict=True))

@@ -216,7 +216,7 @@ def run(config: RunConfig) -> MetricsRow:
 
     per_rep = []
     for _ in range(max(1, config.repetitions)):
-        state, metrics = engine.run(rounds, threads=config.threads, seed=config.seed)
+        state, metrics = engine.run(rounds, threads=config.threads)
         per_rep.append(metrics.mean_wall_seconds_per_round)
     mean_ms: float | None = None
     logical = wire = header = 0.0

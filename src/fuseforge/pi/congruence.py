@@ -65,7 +65,8 @@ def canonical_key(p: PiProcess, env: dict[Name, str] | None = None) -> str:
     """Alpha-insensitive structural serialization, usable as a sort key.
 
     Bound names are rendered by binder-site number, free names by their
-    interned identity; ``env`` may pre-assign tokens for selected free names.
+    text, fresh number or literal value; ``env`` may pre-assign tokens for
+    selected free names.
     """
     if env is None:
         return _canonical_key_cached(p)

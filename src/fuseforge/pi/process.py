@@ -1,8 +1,9 @@
 """Process terms for the polyadic pi-calculus oracle.
 
-Names are interned symbols; a name is either a user-supplied channel/value
-symbol, a fresh name minted for alpha-renaming, or a literal carrying a
-concrete value (literals let the oracle compute numbers, not just shapes).
+Names are symbols compared by value; a name is either a user-supplied
+channel/value symbol, a fresh name minted for alpha-renaming, or a literal
+carrying a concrete value (literals let the oracle compute numbers, not
+just shapes).
 
 Process variants follow the standard grammar: the inactive process, output
 and input prefixes over polyadic channels, binary choice, binary parallel
@@ -13,48 +14,36 @@ composition, restriction, and replication.  Two artifact extensions:
   to a channel-level function encoding.
 * ``ProcessId`` is a named process identifier; the definition is substituted
   lazily during reduction.  Definitions must be communication-guarded.
+
+Process nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
+hash-consing", 2006): building a node looks up its class and fields in a
+table of live nodes and returns the node found there, so structurally equal
+terms are one object.  Equality and hashing are therefore the object
+defaults, identity and address, and memo tables keyed by terms never walk
+them.  The table holds its nodes weakly, so a term nothing else refers to
+is freed as usual.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache
-from operator import attrgetter
+from functools import lru_cache, partial
 
 from ..errors import StructuralError
 
 _fresh_counter = itertools.count(1)
 
 
-def _freeze_hash(obj, *parts) -> None:
-    object.__setattr__(obj, "_hash", hash(parts))
-
-
-# Nodes at least this tall compare by an explicit walk, lower ones by
-# recursive field-by-field comparison.
-_SHALLOW = 48
-
-
-def _freeze_node(node, height: int, *parts) -> None:
-    """Cache a process node's hash and its height (the number of nodes on
-    its longest path to a leaf)."""
-    object.__setattr__(node, "_hash", hash(parts))
-    object.__setattr__(node, "_height", height)
-
-
-def _cached_hash(self) -> int:
-    return self._hash
-
-
 @dataclass(frozen=True, slots=True)
 class Name:
-    """An interned channel or value symbol.
+    """A channel or value symbol, equal to every name with the same fields.
 
     ``fresh_id`` is set for machine-generated names, which therefore can
     never collide with user symbols of the same text.  ``value`` is set for
     literal names (concrete data travelling over channels).  The hash is
-    computed once, at construction, like the process nodes' hashes.
+    computed once, at construction.
     """
 
     text: str
@@ -64,7 +53,10 @@ class Name:
     _hash: int = field(init=False, compare=False, repr=False, default=0)
 
     def __post_init__(self):
-        _freeze_hash(self, self.text, self.fresh_id, self.value, self.is_literal)
+        object.__setattr__(self, "_hash", hash((self.text, self.fresh_id, self.value, self.is_literal)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         if self.is_literal:
@@ -87,167 +79,119 @@ def fresh(base: str = "ν") -> Name:
     return Name(text=base, fresh_id=next(_fresh_counter))
 
 
-class PiProcess:
-    """Marker base class; all variants are frozen dataclasses.
+# (class, *fields) -> weak reference to the live node with them.  A plain
+# dict, because WeakValueDictionary's get and __setitem__ run in Python
+# (a miss raises and catches KeyError) and most nodes the oracle builds
+# are new.
+_NODES: dict[tuple, weakref.ref] = {}
 
-    Nodes cache their structural hash at construction, so hashing deep terms
-    (interning, memo tables) is O(1) after the initial build.  They also
-    cache their height, which lets equality walk tall terms without
-    recursion.
+
+def _forget(key, ref) -> None:
+    """Drop a freed node's entry (unless a new node already took its key)."""
+    if _NODES.get(key) is ref:
+        del _NODES[key]
+
+
+class _HashConsed(type):
+    """Builds a process node only when no live node has its class and fields."""
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs:
+            # keywords to positions, so keyword calls and dataclasses.replace
+            # find the same node
+            args += tuple(kwargs.pop(f) for f in cls.__match_args__[len(args):] if f in kwargs)
+            if kwargs:
+                return type.__call__(cls, *args, **kwargs)  # the dataclass's TypeError
+        key = (cls, *args)
+        ref = _NODES.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            node = type.__call__(cls, *args)
+            _NODES[key] = weakref.ref(node, partial(_forget, key))
+        return node
+
+
+class PiProcess(metaclass=_HashConsed):
+    """Base class of the process variants, which are frozen dataclasses.
+
+    Nodes are hash-consed: constructing a node whose class and fields match
+    a live node returns that node, so two terms are equal exactly when they
+    are the same object, and ``==`` and ``hash`` are identity and address.
+    Field values are compared by value at construction (names by their
+    fields, subprocesses by identity, since they are hash-consed too).
     """
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Nil(PiProcess):
-    _hash: int = field(init=False, compare=False, repr=False, default=0)
-    _height: int = field(init=False, compare=False, repr=False, default=0)
-
-    def __post_init__(self):
-        _freeze_node(self, 1, "nil")
-
-    def __eq__(self, other) -> bool:
-        return True if other.__class__ is Nil else NotImplemented
-
     def __repr__(self) -> str:
         return "0"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class OutputPrefix(PiProcess):
     channel: Name
     payload: tuple[Name, ...]
     continuation: PiProcess
-    _hash: int = field(init=False, compare=False, repr=False, default=0)
-    _height: int = field(init=False, compare=False, repr=False, default=0)
-
-    def __post_init__(self):
-        _freeze_node(self, self.continuation._height + 1, "out", self.channel, self.payload, self.continuation)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not OutputPrefix:
-            return NotImplemented
-        if self._hash != other._hash or self._height >= _SHALLOW:
-            return _walk_eq(self, other)
-        return (self.channel, self.payload, self.continuation) == (
-            other.channel, other.payload, other.continuation)
 
     def __repr__(self) -> str:
         args = ",".join(map(repr, self.payload))
         return f"'{self.channel!r}<{args}>.{self.continuation!r}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class InputPrefix(PiProcess):
     channel: Name
     binders: tuple[Name, ...]
     continuation: PiProcess
-    _hash: int = field(init=False, compare=False, repr=False, default=0)
-    _height: int = field(init=False, compare=False, repr=False, default=0)
 
     def __post_init__(self):
         if len(set(self.binders)) != len(self.binders):
             raise StructuralError(f"duplicate binders in input on {self.channel!r}")
-        _freeze_node(self, self.continuation._height + 1, "in", self.channel, self.binders, self.continuation)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not InputPrefix:
-            return NotImplemented
-        if self._hash != other._hash or self._height >= _SHALLOW:
-            return _walk_eq(self, other)
-        return (self.channel, self.binders, self.continuation) == (
-            other.channel, other.binders, other.continuation)
 
     def __repr__(self) -> str:
         args = ",".join(map(repr, self.binders))
         return f"{self.channel!r}({args}).{self.continuation!r}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Choice(PiProcess):
     left: PiProcess
     right: PiProcess
-    _hash: int = field(init=False, compare=False, repr=False, default=0)
-    _height: int = field(init=False, compare=False, repr=False, default=0)
-
-    def __post_init__(self):
-        _freeze_node(self, max(self.left._height, self.right._height) + 1, "+", self.left, self.right)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Choice:
-            return NotImplemented
-        if self._hash != other._hash or self._height >= _SHALLOW:
-            return _walk_eq(self, other)
-        return (self.left, self.right) == (other.left, other.right)
 
     def __repr__(self) -> str:
         return f"({self.left!r} + {self.right!r})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Parallel(PiProcess):
     left: PiProcess
     right: PiProcess
-    _hash: int = field(init=False, compare=False, repr=False, default=0)
-    _height: int = field(init=False, compare=False, repr=False, default=0)
-
-    def __post_init__(self):
-        _freeze_node(self, max(self.left._height, self.right._height) + 1, "|", self.left, self.right)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Parallel:
-            return NotImplemented
-        if self._hash != other._hash or self._height >= _SHALLOW:
-            return _walk_eq(self, other)
-        return (self.left, self.right) == (other.left, other.right)
 
     def __repr__(self) -> str:
         return f"({self.left!r} | {self.right!r})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Restriction(PiProcess):
     name: Name
     body: PiProcess
-    _hash: int = field(init=False, compare=False, repr=False, default=0)
-    _height: int = field(init=False, compare=False, repr=False, default=0)
-
-    def __post_init__(self):
-        _freeze_node(self, self.body._height + 1, "nu", self.name, self.body)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Restriction:
-            return NotImplemented
-        if self._hash != other._hash or self._height >= _SHALLOW:
-            return _walk_eq(self, other)
-        return (self.name, self.body) == (other.name, other.body)
 
     def __repr__(self) -> str:
         return f"(ν{self.name!r}){self.body!r}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Replication(PiProcess):
     body: PiProcess
-    _hash: int = field(init=False, compare=False, repr=False, default=0)
-    _height: int = field(init=False, compare=False, repr=False, default=0)
-
-    def __post_init__(self):
-        _freeze_node(self, self.body._height + 1, "!", self.body)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Replication:
-            return NotImplemented
-        if self._hash != other._hash or self._height >= _SHALLOW:
-            return _walk_eq(self, other)
-        return self.body == other.body
 
     def __repr__(self) -> str:
         return f"!{self.body!r}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class FunctionApply(PiProcess):
     """Opaque ``y = f(args...)`` step; binds ``result`` in the continuation."""
 
@@ -255,86 +199,21 @@ class FunctionApply(PiProcess):
     args: tuple[Name, ...]
     result: Name
     continuation: PiProcess
-    _hash: int = field(init=False, compare=False, repr=False, default=0)
-    _height: int = field(init=False, compare=False, repr=False, default=0)
-
-    def __post_init__(self):
-        _freeze_node(self, self.continuation._height + 1, "app", self.fn, self.args, self.result, self.continuation)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not FunctionApply:
-            return NotImplemented
-        if self._hash != other._hash or self._height >= _SHALLOW:
-            return _walk_eq(self, other)
-        return (self.fn, self.args, self.result, self.continuation) == (
-            other.fn, other.args, other.result, other.continuation)
 
     def __repr__(self) -> str:
         args = ",".join(map(repr, self.args))
         return f"[{self.result!r}={self.fn}({args})].{self.continuation!r}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ProcessId(PiProcess):
     """Reference to a named definition, substituted during reduction."""
 
     ident: str
-    _hash: int = field(init=False, compare=False, repr=False, default=0)
-    _height: int = field(init=False, compare=False, repr=False, default=0)
-
-    def __post_init__(self):
-        _freeze_node(self, 1, "id", self.ident)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not ProcessId:
-            return NotImplemented
-        return self.ident == other.ident
 
     def __repr__(self) -> str:
         return self.ident
 
-
-def _walk_eq(a: PiProcess, b: PiProcess) -> bool:
-    """Equality of two nodes of one class whose hashes differ or that are
-    tall: the subterm pairs of tall nodes are walked with an explicit stack,
-    so terms nested deeper than the interpreter's recursion limit compare
-    safely; low pairs go back to ``==``."""
-    stack = [(a, b)]
-    while stack:
-        a, b = stack.pop()
-        if a is b:
-            continue
-        if a.__class__ is not b.__class__ or a._hash != b._hash:
-            return False
-        if a._height < _SHALLOW:
-            if a != b:
-                return False
-            continue
-        leaves, kids = _SHAPES[a.__class__]
-        if leaves(a) != leaves(b):
-            return False
-        stack.extend((kid(a), kid(b)) for kid in kids)
-    return True
-
-
-_PROCESS_CLASSES = (Nil, OutputPrefix, InputPrefix, Choice, Parallel, Restriction, Replication,
-                    FunctionApply, ProcessId)
-_KID_FIELDS = ("continuation", "left", "right", "body")
-
-
-def _shape(cls) -> tuple:
-    """A getter for the non-process fields of ``cls`` (as one tuple) and one
-    getter per subprocess field."""
-    fields = [f for f in cls.__dataclass_fields__ if f not in ("_hash", "_height")]
-    leaves = tuple(attrgetter(f) for f in fields if f not in _KID_FIELDS)
-    return ((lambda node: tuple(get(node) for get in leaves)),
-            tuple(attrgetter(f) for f in fields if f in _KID_FIELDS))
-
-
-_SHAPES = {cls: _shape(cls) for cls in _PROCESS_CLASSES}
-
-for _cls in (Name, *_PROCESS_CLASSES):
-    _cls.__hash__ = _cached_hash
 
 NIL = Nil()
 

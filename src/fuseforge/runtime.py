@@ -77,8 +77,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
 
-from .equations import ComputeMethodContract, check_tag
-from .errors import ContractError, CoverageError
+from .equations import ComputeMethodContract
+from .errors import CoverageError
 from .optimizer import PartitionPlan, RefinedNeighbors
 
 _sender = itemgetter(0)
@@ -88,7 +88,6 @@ _sender = itemgetter(0)
 class Metrics:
     rounds: int
     threads: int
-    seed: int
     wall_seconds_per_round: list[float] = field(default_factory=list)
     logical_messages_per_round: list[int] = field(default_factory=list)
     wire_units_per_round: list[int] = field(default_factory=list)
@@ -107,24 +106,6 @@ class Metrics:
 class SimulationState:
     superstep: int
     agent_values: dict[int, object]
-
-
-def deliver(
-    contract: ComputeMethodContract,
-    raw: list[tuple[int, object]],
-    receiver: int | None = None,
-) -> list[object]:
-    """A mailbox batch's payloads in ascending-sender order, each checked
-    against the contract's in-message type."""
-    msgs = []
-    for sender, payload in sorted(raw, key=_sender):
-        if not check_tag(contract.in_message_type, payload):
-            raise ContractError(
-                f"message {payload!r} from sender {sender} to receiver {receiver} "
-                f"does not match in-message type {contract.in_message_type}"
-            )
-        msgs.append(payload)
-    return msgs
 
 
 # Kernels ------------------------------------------------------------------------
@@ -404,10 +385,10 @@ class Engine:
 
     # -- execution ------------------------------------------------------------
 
-    def run(self, rounds: int, threads: int = 1, seed: int = 0) -> tuple[SimulationState, Metrics]:
+    def run(self, rounds: int, threads: int = 1) -> tuple[SimulationState, Metrics]:
         n = self.n
         wl = self.workload
-        metrics = Metrics(rounds=rounds, threads=threads, seed=seed)
+        metrics = Metrics(rounds=rounds, threads=threads)
         for a in self.track_inbound:
             metrics.inbound_wire_by_agent[a] = []
             metrics.inbound_total_by_agent[a] = []
@@ -493,9 +474,8 @@ def execute(
     plans: list[PartitionPlan],
     rounds: int,
     threads: int = 1,
-    seed: int = 0,
     track_inbound: tuple[int, ...] = (),
 ) -> tuple[SimulationState, Metrics]:
     """Compile the plans and run ``rounds`` supersteps."""
     engine = Engine(workload, plans, track_inbound)
-    return engine.run(rounds, threads=threads, seed=seed)
+    return engine.run(rounds, threads=threads)

@@ -273,7 +273,7 @@ def test_criterion_5_performance_sanity():
     checks = {}
     for mode in ("unopt", "full"):
         plans = plans_for(wl, parts, mode)
-        state, metrics = execute(wl, plans, rounds=200, threads=8, seed=1)
+        state, metrics = execute(wl, plans, rounds=200, threads=8)
         timings[mode] = metrics.mean_wall_seconds_per_round
         checks[mode] = state_checksum(wl, state.agent_values)
     ratio = timings["unopt"] / timings["full"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -144,6 +145,28 @@ def test_cli_entrypoint_oracle_reduce(tmp_path):
     assert "irreducible steps=3" in proc.stdout
     assert "'o': 6" in proc.stdout
     assert "explored 4 states" in proc.stdout
+
+
+def test_cli_oracle_reduce_output_does_not_depend_on_hash_seed(tmp_path):
+    """Process terms hash by address and names by string hashes, so an order
+    taken from a set of either would differ between processes; the race of
+    three senders for two receivers prints its six irreducible states in
+    one order under two hash seeds."""
+    source = tmp_path / "race.pi"
+    source.write_text(
+        "(new (c) (par (out c (1) 0) (out c (2) 0) (out c (3) 0)\n"
+        "              (in c (x) (out o (x) 0)) (in c (y) (out q (y) 0))))\n"
+    )
+    outputs = []
+    for seed in ("0", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fuseforge.bench", "oracle", "reduce", str(source)],
+            env=dict(os.environ, PYTHONHASHSEED=seed), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.splitlines())
+    assert outputs[0] == outputs[1]
+    assert sum(line.startswith("irreducible") for line in outputs[0]) == 6
 
 
 def test_cli_rejects_unknown_mode_with_usage_error():

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import itertools
 import random
+import weakref
 from collections import Counter
 from functools import lru_cache
 
@@ -12,6 +15,7 @@ import pytest
 from fuseforge.pi import (
     NIL,
     Choice,
+    OutputPrefix,
     Parallel,
     Replication,
     Restriction,
@@ -28,7 +32,7 @@ from fuseforge.pi import (
     reduce_step,
     substitute,
 )
-from fuseforge.pi import congruence
+from fuseforge.pi import congruence, process
 from procgen import NAME_POOL, gen_prefix, gen_process
 
 a, b, c, x, y = (name(t) for t in "abcxy")
@@ -296,12 +300,13 @@ def test_symmetric_chains_normalize_without_factorial_search(shape):
 def test_deep_terms_compare_and_normalize():
     """Equality and normalization survive terms nested deeper than the
     recursion limit: two separately built compositions of 600 replicated
-    outputs, and two chains of 600 prefixes."""
+    outputs are one hash-consed object, and so are two chains of 600
+    prefixes."""
     def wide(last):
         return par(*[bang(out(c, lit(i))) for i in range(599)], bang(out(c, lit(last))))
 
     p, q, other = wide(599), wide(599), wide(-1)
-    assert p is not q and p == q and p != other
+    assert p is q and p != other
 
     def deep(last):
         t = out(c, lit(last))
@@ -314,3 +319,27 @@ def test_deep_terms_compare_and_normalize():
     form = normalize(p)
     assert normalize(q) == form and normalize(form) == form
     assert normalize(other) != form
+
+
+def test_equal_terms_are_one_object():
+    """Process terms are hash-consed: equal terms are one object however
+    they are built, and a term nothing refers to is freed, so the table of
+    live terms does not grow with every term ever built."""
+    body = out(y, lit(1))
+    positional = OutputPrefix(x, (lit(2),), body)
+    keyword = OutputPrefix(continuation=out(name("y"), lit(1)), channel=name("x"),
+                           payload=(lit(2),))
+    replaced = dataclasses.replace(OutputPrefix(x, (lit(3),), body), payload=(lit(2),))
+    substituted = substitute(OutputPrefix(a, (lit(2),), body), {a: x})
+    assert positional is keyword is replaced is substituted
+
+    congruence.clear_caches()
+    first = normalize(nu(a, par(out(a, lit(1)), inp(a, x))))
+    congruence.clear_caches()
+    assert normalize(nu(b, par(inp(b, y), out(b, lit(1))))) is first
+
+    gc.collect()
+    size = len(process._NODES)
+    dropped = weakref.ref(OutputPrefix(x, (lit("built once"),), NIL))
+    gc.collect()
+    assert dropped() is None and len(process._NODES) == size

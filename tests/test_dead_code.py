@@ -15,7 +15,6 @@ PACKAGE = ROOT / "src" / "fuseforge"
 SEARCHED = (PACKAGE, ROOT / "perfbench")
 
 ALLOWED = {
-    "deliver": "mailbox type-tag checks, kept until a checked executor mode takes them over",
     "default_run": "reference run semantics with type-tag checks, kept until a checked "
                    "executor mode takes them over",
     "ReduceAllResult.final_value_sets": "oracle API that acceptance criterion 2 reads",

@@ -7,11 +7,11 @@ from dataclasses import replace
 import pytest
 
 from fuseforge.equations import BehavioralEquation, ComputeMethodContract, StateRef
-from fuseforge.errors import ContractError, CoverageError
+from fuseforge.errors import CoverageError
 from fuseforge.graphgen import Graph, build_partitions, partition_greedy
 from fuseforge.optimizer import MODE_PASSES, default_pipeline
-from fuseforge.runtime import Engine, deliver, execute
-from fuseforge.workloads import Workload, build_gol, gol_contract, state_checksum
+from fuseforge.runtime import Engine, execute
+from fuseforge.workloads import Workload, build_gol, state_checksum
 
 
 def gol_plans(wl, parts, mode="unopt"):
@@ -41,22 +41,6 @@ def test_blinker_oscillates_with_period_two():
     after2, _ = execute(wl, plans, rounds=2)
     alive2 = {a for a, v in after2.agent_values.items() if v}
     assert alive2 == BLINKER
-
-
-def test_deliver_identity_payloads_sorted():
-    raw = [(5, 1), (2, 0), (9, 1)]
-    assert deliver(gol_contract(), raw) == [0, 1, 1]
-
-
-def test_deliver_empty():
-    assert deliver(gol_contract(), []) == []
-
-
-def test_deliver_type_mismatch_names_parties():
-    with pytest.raises(ContractError) as err:
-        deliver(gol_contract(), [(4, "x")], receiver=17)
-    assert "sender 4" in str(err.value)
-    assert "receiver 17" in str(err.value)
 
 
 def two_core_workload():

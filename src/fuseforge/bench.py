@@ -401,7 +401,7 @@ def _oracle_reduce(args: argparse.Namespace) -> int:
     for s in result.irreducible:
         env = {repr(k): v for k, v in sorted(final_values(s).items(), key=lambda kv: repr(kv[0]))}
         print(f"irreducible steps={s.step_count} values={env} process={s.process!r}")
-    print(f"explored {result.explored} states")
+    print(f"explored {result.explored} states, chained {result.chained} confluent steps")
     if result.non_terminating:
         print("non-terminating: frontier still active after bound")
     return 0

@@ -36,14 +36,24 @@ without bound.  Nothing is prioritised in a state whose process contains a
 process identifier (its definitions are not inspected) or binds one name
 at two sites.
 
-A chain fires confluent steps one after another on *lifted* terms, not
-normalized ones: after each step, nested parallels are flattened, inactive
-components dropped and the restrictions of components hoisted into the top
-restriction chain under fresh names.  That exposes the next step's
-components to the rule above, keeps every binder distinct, and keeps
-hoisted channels unobservable (a fresh name is never recorded in the
-value env, as a canonically renamed one is not).  Only the chain's end is
-normalized.
+A chain fires confluent steps one after another on mutable state that
+lives only as long as the chain, in the manner of a chemical abstract
+machine (Berry & Boudol, POPL 1990): the list of top-level components in
+term order, the top restriction chain, the value env, and counters of how
+the whole term uses its names (output and input subject counts, the
+multisets of object names and of binders, the substitutable names, that is
+input binders and function results, and the number of binder sites that
+repeat a name).  A step subtracts the uses of the one or two components it
+consumes, lifts only the components it creates, in their place, and adds
+their uses, so it costs the size of the components it touches, not of the
+term.  Lifting flattens nested parallels, drops inactive components and
+hoists restrictions into the top chain under fresh names.  That exposes the
+next step's components to the rule above, keeps every binder distinct, and
+keeps hoisted channels unobservable (a fresh name is never recorded in the
+value env, as a canonically renamed one is not).  The term is walked whole
+once, at the chain's start, and built once, at its end; only the end is
+normalized.  Whether it has a process identifier is also checked once, at
+the start, since a confluent step creates none.
 
 A chain always ends, so no cycle proviso is needed: every confluent step
 consumes one top-level input prefix or function application, and creates
@@ -60,7 +70,6 @@ this oracle is asked to reduce and is checked at offer-collection time.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
@@ -91,6 +100,10 @@ from .process import (
 ComputeFn = Callable[..., object]
 
 
+def _env_tuple(env: dict[Name, object]) -> tuple[tuple[Name, object], ...]:
+    return tuple(sorted(env.items(), key=lambda kv: repr(kv[0])))
+
+
 @dataclass(frozen=True)
 class ReductionState:
     """Process plus the concrete values observed so far.
@@ -113,7 +126,7 @@ class ReductionState:
     def with_process(self, p: PiProcess, env: dict[Name, object]) -> "ReductionState":
         return ReductionState(
             process=p,
-            value_env=tuple(sorted(env.items(), key=lambda kv: repr(kv[0]))),
+            value_env=_env_tuple(env),
             step_count=self.step_count + 1,
             defs=self.defs,
             computes=self.computes,
@@ -129,7 +142,7 @@ def initial_state(
     env = dict(seed_env or {})
     return ReductionState(
         process=normalize(process),
-        value_env=tuple(sorted(env.items(), key=lambda kv: repr(kv[0]))),
+        value_env=_env_tuple(env),
         step_count=0,
         defs=defs or {},
         computes=computes or {},
@@ -206,6 +219,12 @@ def reduce_step(state: ReductionState) -> set[ReductionState]:
     env = state.env()
     successors: set[ReductionState] = set()
 
+    def successor(changes: list[tuple[int, PiProcess]], new_env: dict) -> ReductionState:
+        new_kids = list(kids)
+        for i, kid in changes:
+            new_kids[i] = kid
+        return state.with_process(nu(chain, par(*new_kids)), new_env)
+
     offers_per_kid: list[list[_Offer]] = [
         _collect_offers(k, state.defs, frozenset()) for k in kids
     ]
@@ -220,167 +239,242 @@ def reduce_step(state: ReductionState) -> set[ReductionState]:
                 for oj in offers_j:
                     if oj.polarity != "in" or oj.channel != oi.channel:
                         continue
-                    successors.add(_communicate(state, chain, kids, env, i, oi, j, oj))
+                    new_env = dict(env)
+                    receiver = _receive(oi.channel, oi.names, oj.names, oj.after, new_env)
+                    successors.add(successor([(i, oi.after), (j, receiver)], new_env))
 
     for i, kid in enumerate(kids):
         if not isinstance(kid, FunctionApply):
             continue
-        succ = _apply(state, chain, kids, env, i)
-        if succ is not None:
-            successors.add(succ)
+        new_env = dict(env)
+        continuation = _fire(kid, new_env, state.computes)
+        if continuation is not None:
+            successors.add(successor([(i, continuation)], new_env))
 
     return successors
 
 
-def _communicate(
-    state: ReductionState,
-    chain: list[Name],
-    kids: list[PiProcess],
+def _receive(
+    channel: Name,
+    payload: tuple[Name, ...],
+    binders: tuple[Name, ...],
+    after: PiProcess,
     env: dict[Name, object],
-    i: int,
-    oi: _Offer,
-    j: int,
-    oj: _Offer,
-) -> ReductionState:
-    """The successor where output offer ``oi`` of component ``i`` meets input
-    offer ``oj`` of component ``j``."""
-    if len(oi.names) != len(oj.names):
+) -> PiProcess:
+    """The receiver's residue ``after`` once ``payload`` arrives for
+    ``binders`` on ``channel``; records the value sent in ``env`` when the
+    channel is observable and every payload name has a value."""
+    if len(payload) != len(binders):
         raise ReductionError(
-            f"arity mismatch on channel {oi.channel!r}: "
-            f"output sends {len(oi.names)}, input binds {len(oj.names)}"
+            f"arity mismatch on channel {channel!r}: "
+            f"output sends {len(payload)}, input binds {len(binders)}"
         )
-    receiver = substitute(oj.after, dict(zip(oj.names, oi.names)))
-    new_kids = list(kids)
-    new_kids[i] = oi.after
-    new_kids[j] = receiver
-    new_env = dict(env)
-    if _observable(oi.channel):
-        values = []
-        all_known = True
-        for n in oi.names:
-            ok, v = _resolve(n, env)
-            values.append(v)
-            all_known = all_known and ok
-        if all_known and values:
-            new_env[oi.channel] = values[0] if len(values) == 1 else tuple(values)
-    return state.with_process(nu(chain, par(*new_kids)), new_env)
+    if _observable(channel) and payload:
+        resolved = [_resolve(n, env) for n in payload]
+        if all(ok for ok, _ in resolved):
+            values = [v for _, v in resolved]
+            env[channel] = values[0] if len(values) == 1 else tuple(values)
+    return substitute(after, dict(zip(binders, payload)))
 
 
-def _apply(
-    state: ReductionState,
-    chain: list[Name],
-    kids: list[PiProcess],
-    env: dict[Name, object],
-    i: int,
-) -> ReductionState | None:
-    """The successor where the function application ``kids[i]`` fires, or
-    None while one of its arguments has no value."""
-    kid = kids[i]
+def _fire(
+    kid: FunctionApply, env: dict[Name, object], computes: dict[str, ComputeFn]
+) -> PiProcess | None:
+    """The continuation of application ``kid`` once it fires, recording its
+    result in ``env``; None while one of its arguments has no value."""
     resolved = [_resolve(n, env) for n in kid.args]
     if not all(ok for ok, _ in resolved):
         return None
-    if kid.fn not in state.computes:
+    if kid.fn not in computes:
         raise OracleConfigError(f"no registered compute function named {kid.fn!r}")
-    result = state.computes[kid.fn](*[v for _, v in resolved])
+    result = computes[kid.fn](*[v for _, v in resolved])
     out_name = lit(result)
-    new_kids = list(kids)
-    new_kids[i] = substitute(kid.continuation, {kid.result: out_name})
-    new_env = dict(env)
-    new_env[out_name] = result
-    return state.with_process(nu(chain, par(*new_kids)), new_env)
+    env[out_name] = result
+    return substitute(kid.continuation, {kid.result: out_name})
 
 
-@dataclass(frozen=True)
-class _ChannelUses:
-    """How a term uses its names: subject counts, the names in object
-    positions, and whether a received or computed name can be a subject."""
+class _Chain:
+    """One chain of tau-confluent steps, on mutable state that lives only as
+    long as the chain: the lifted top-level components in order, the top
+    restriction chain, the value env, and how the whole term uses its names,
+    kept up to date by every step (see the module docstring)."""
 
-    outputs: Counter
-    inputs: Counter
-    objects: frozenset[Name]
-    bound_subjects: bool
+    def __init__(self, state: ReductionState):
+        self.names, kids = split_top(state.process)
+        self.env = state.env()
+        self.computes = state.computes
+        self.outputs: dict[Name, int] = {}  # output subjects
+        self.inputs: dict[Name, int] = {}  # input subjects
+        self.subjects: dict[Name, int] = {}  # output and input subjects
+        self.objects: dict[Name, int] = {}  # payloads and function arguments
+        self.binders: dict[Name, int] = {}
+        self.substitutable: dict[Name, int] = {}  # input binders, function results
+        self.bound_subjects = 0  # subject names that are literals or substitutable
+        self.duplicates = 0  # binder sites beyond the first of each name
+        # top-level senders ('c<..>.P and !'c<..>.P) by channel
+        self.senders: dict[Name, list[PiProcess]] = {}
+        for n in self.names:
+            self._bind(n)
+        self.kids: list[PiProcess] = []
+        for kid in kids:
+            self.kids.extend(self._expose(kid))
 
+    def _bind(self, n: Name, sign: int = 1) -> None:
+        before = self.binders.get(n, 0)
+        self.binders[n] = before + sign
+        if before >= (1 if sign > 0 else 2):
+            self.duplicates += sign
 
-def _channel_uses(p: PiProcess) -> _ChannelUses | None:
-    """Name uses across the whole of ``p``, or None if some name is bound at
-    two binder sites (then a syntactic count could conflate two channels)."""
-    outputs: Counter = Counter()
-    inputs: Counter = Counter()
-    objects: set[Name] = set()
-    binders: set[Name] = set()
-    substitutable: set[Name] = set()  # input binders and function results
-    subjects: set[Name] = set()
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        bound: tuple[Name, ...] = ()
-        if isinstance(q, OutputPrefix):
-            outputs[q.channel] += 1
-            subjects.add(q.channel)
-            objects.update(q.payload)
-            stack.append(q.continuation)
-        elif isinstance(q, InputPrefix):
-            inputs[q.channel] += 1
-            subjects.add(q.channel)
-            bound = q.binders
-            substitutable.update(bound)
-            stack.append(q.continuation)
-        elif isinstance(q, FunctionApply):
-            objects.update(q.args)
-            bound = (q.result,)
-            substitutable.add(q.result)
-            stack.append(q.continuation)
-        elif isinstance(q, Restriction):
-            bound = (q.name,)
-            stack.append(q.body)
-        elif isinstance(q, (Choice, Parallel)):
-            stack.extend((q.left, q.right))
-        elif isinstance(q, Replication):
-            stack.append(q.body)
-        for b in bound:
-            if b in binders:
-                return None
-            binders.add(b)
-    bound_subjects = any(n.is_literal or n in substitutable for n in subjects)
-    return _ChannelUses(outputs, inputs, frozenset(objects), bound_subjects)
+    def _count(self, p: PiProcess, sign: int) -> None:
+        """Add (``sign`` 1) or remove (-1) the name uses of component ``p``,
+        and index it if it is a sender."""
+        body = p.body if isinstance(p, Replication) else p
+        if isinstance(body, OutputPrefix):
+            group = self.senders.setdefault(body.channel, [])
+            if sign > 0:
+                group.append(p)
+            else:
+                group.remove(p)
+        objects, subjects, substitutable = self.objects, self.subjects, self.substitutable
+        subject_names: list[Name] = []
+        bound: list[Name] = []  # input binders and function results
+        stack = [p]
+        while stack:
+            q = stack.pop()
+            cls = type(q)
+            if cls is OutputPrefix or cls is InputPrefix:
+                c = q.channel
+                uses = self.outputs if cls is OutputPrefix else self.inputs
+                uses[c] = uses.get(c, 0) + sign
+                subject_names.append(c)
+                if cls is OutputPrefix:
+                    for n in q.payload:
+                        objects[n] = objects.get(n, 0) + sign
+                else:
+                    bound.extend(q.binders)
+                stack.append(q.continuation)
+            elif cls is FunctionApply:
+                for n in q.args:
+                    objects[n] = objects.get(n, 0) + sign
+                bound.append(q.result)
+                stack.append(q.continuation)
+            elif cls is Restriction:
+                self._bind(q.name, sign)
+                stack.append(q.body)
+            elif cls is Choice or cls is Parallel:
+                stack.append(q.right)
+                stack.append(q.left)
+            elif cls is Replication:
+                stack.append(q.body)
+        # a name joins or leaves the bound subjects when its count of
+        # subject or substitutable uses reaches or leaves zero
+        for n in subject_names:
+            before = subjects.get(n, 0)
+            subjects[n] = before + sign
+            if (before == 0 or before + sign == 0) and (n.is_literal or substitutable.get(n)):
+                self.bound_subjects += sign
+        for n in bound:
+            self._bind(n, sign)
+            before = substitutable.get(n, 0)
+            substitutable[n] = before + sign
+            if (before == 0 or before + sign == 0) and subjects.get(n) and not n.is_literal:
+                self.bound_subjects += sign
 
+    def _expose(self, p: PiProcess) -> list[PiProcess]:
+        """The components ``p`` adds to the top level, counted: nested
+        parallels flattened, inactive components dropped, and restrictions
+        hoisted into the top chain under fresh names (scope extrusion; a
+        fresh name is free nowhere else and bound nowhere else)."""
+        parts: list[PiProcess] = []
+        todo = [p]
+        while todo:
+            q = todo.pop()
+            if isinstance(q, Parallel):
+                todo.append(q.right)
+                todo.append(q.left)
+            elif isinstance(q, Restriction):
+                renames = {}
+                while isinstance(q, Restriction):
+                    n = fresh(q.name.text)
+                    self.names.append(n)
+                    self._bind(n)
+                    renames[q.name] = n
+                    q = q.body
+                todo.append(substitute(q, renames))
+            elif not isinstance(q, Nil):
+                self._count(q, 1)
+                parts.append(q)
+        return parts
 
-def _confluent_step(state: ReductionState) -> ReductionState | None:
-    """The successor by the first tau-confluent step of ``state`` (see the
-    module docstring), or None if it has none."""
-    p = state.process
-    if free_names(p) is TOP:
-        return None
-    uses = _channel_uses(p)
-    if uses is None:
-        return None
-    chain, kids = split_top(p)
-    env = state.env()
-    if not uses.bound_subjects:
-        for i, kid in enumerate(kids):
-            if isinstance(kid, FunctionApply) and all(n.is_literal for n in kid.args):
-                return _apply(state, chain, kids, env, i)
-    for j, receiver in enumerate(kids):
-        if not isinstance(receiver, InputPrefix):
-            continue
-        c = receiver.channel
-        if c.is_literal or uses.outputs[c] != 1 or c in uses.objects:
-            continue
-        for i, sender in enumerate(kids):
+    def _replace(self, changes: list[tuple[int, PiProcess]]) -> None:
+        """Replace the component at each position by the lifted components
+        of its residue, lifting in component order so that fresh names join
+        the top chain in term order."""
+        kids = self.kids
+        lifted = []
+        for i, residue in sorted(changes, key=lambda change: change[0]):
+            self._count(kids[i], -1)
+            lifted.append((i, self._expose(residue)))
+        for i, parts in reversed(lifted):
+            kids[i:i + 1] = parts
+
+    def step(self) -> bool:
+        """Fire the first confluent step, if there is one."""
+        if self.duplicates:
+            return False
+        kids = self.kids
+        if not self.bound_subjects:
+            for i, kid in enumerate(kids):
+                if isinstance(kid, FunctionApply) and all(n.is_literal for n in kid.args):
+                    self._replace([(i, _fire(kid, self.env, self.computes))])
+                    return True
+        for j, receiver in enumerate(kids):
+            if not isinstance(receiver, InputPrefix):
+                continue
+            c = receiver.channel
+            if c.is_literal or self.outputs.get(c) != 1 or self.objects.get(c):
+                continue
+            senders = self.senders.get(c)
+            if not senders:
+                continue
+            (sender,) = senders
             replicated = isinstance(sender, Replication)
             out_prefix = sender.body if replicated else sender
-            if not isinstance(out_prefix, OutputPrefix) or out_prefix.channel != c:
-                continue
             if replicated and not isinstance(out_prefix.continuation, Nil):
-                break
-            if not replicated and uses.inputs[c] != 1:
-                break
+                continue
+            if not replicated and self.inputs[c] != 1:
+                continue
             if not all(n.is_literal for n in out_prefix.payload):
-                break
-            (oi,) = _collect_offers(sender, state.defs, frozenset())
-            (oj,) = _collect_offers(receiver, state.defs, frozenset())
-            return _communicate(state, chain, kids, env, i, oi, j, oj)
-    return None
+                continue
+            residue = _receive(c, out_prefix.payload, receiver.binders,
+                               receiver.continuation, self.env)
+            changes = [(j, residue)]
+            # a replicated sender leaves only an inactive copy behind
+            if not replicated:
+                changes.append((kids.index(sender), sender.continuation))
+            self._replace(changes)
+            return True
+        return False
+
+
+def _confluent_chain(state: ReductionState, budget: int) -> tuple[ReductionState, int]:
+    """Fire confluent steps from ``state``, at most ``budget`` of them, on
+    lifted components; return the last state reached (not normalized) and
+    the number of steps fired."""
+    if free_names(state.process) is TOP:
+        return state, 0  # a confluent step creates no process identifier
+    chain = _Chain(state)
+    fired = 0
+    while fired < budget and chain.step():
+        fired += 1
+    if not fired:
+        return state, 0
+    return replace(
+        state,
+        process=nu(chain.names, par(*chain.kids)),
+        value_env=_env_tuple(chain.env),
+        step_count=state.step_count + fired,
+    ), fired
 
 
 @dataclass
@@ -389,6 +483,7 @@ class ReduceAllResult:
     non_terminating: bool
     explored: int
     truncated: bool
+    chained: int = 0  # confluent steps fired inside chains
 
     def final_value_sets(self, names: Iterable[Name]) -> list[dict[Name, object]]:
         wanted = set(names)
@@ -397,43 +492,6 @@ class ReduceAllResult:
             values = final_values(s)
             out.append({n: v for n, v in values.items() if n in wanted})
         return out
-
-
-def _lift(p: PiProcess) -> PiProcess:
-    """``p`` with its top-level components exposed for the next confluent
-    step: nested parallels flattened, inactive components dropped, and the
-    restrictions of components hoisted into the top chain under fresh names
-    (scope extrusion; a fresh name is free nowhere else and bound nowhere
-    else).  Nothing is sorted or renamed canonically."""
-    chain, todo = split_top(p)
-    kids: list[PiProcess] = []
-    todo.reverse()
-    while todo:
-        q = todo.pop()
-        if isinstance(q, Parallel):
-            todo.append(q.right)
-            todo.append(q.left)
-        elif isinstance(q, Restriction):
-            n = fresh(q.name.text)
-            chain.append(n)
-            todo.append(substitute(q.body, {q.name: n}))
-        elif not isinstance(q, Nil):
-            kids.append(q)
-    return nu(chain, par(*kids))
-
-
-def _confluent_chain(state: ReductionState, budget: int) -> tuple[ReductionState, int]:
-    """Fire confluent steps from ``state``, at most ``budget`` of them, on
-    lifted terms; return the last state reached (not normalized) and the
-    number of steps fired."""
-    fired = 0
-    while fired < budget:
-        step = _confluent_step(state)
-        if step is None:
-            break
-        state = replace(step, process=_lift(step.process))
-        fired += 1
-    return state, fired
 
 
 def reduce_all(
@@ -457,7 +515,8 @@ def reduce_all(
     Returns every irreducible state reached within the bound and flags
     non-termination when a state at depth ``max_steps`` is left unexpanded.
     ``explored`` counts the states expanded: a chain's intermediate states
-    are neither keyed nor counted.  Exceeding ``max_states`` distinct states
+    are neither keyed nor counted.  ``chained`` counts the confluent steps
+    fired inside chains.  Exceeding ``max_states`` distinct states
     raises ResourceLimitError carrying the partial result; successors are
     expanded in canonical-key order, so the partial result does not depend
     on the hash seed.
@@ -470,7 +529,7 @@ def reduce_all(
     levels: dict[int, dict[tuple, ReductionState]] = {0: {key_of(start): start}}
     depth_of: dict[tuple, int] = {key: 0 for key in levels[0]}
     irreducible: dict[tuple, ReductionState] = {}
-    explored = 0
+    explored = chained = 0
 
     def enqueue(k: tuple, canon: ReductionState, depth: int) -> None:
         seen = depth_of.get(k)
@@ -489,6 +548,7 @@ def reduce_all(
                 non_terminating=True,
                 explored=explored,
                 truncated=True,
+                chained=chained,
             )
             raise ResourceLimitError(f"state space exceeded {max_states} nodes", partial=partial)
 
@@ -500,6 +560,7 @@ def reduce_all(
             explored += 1
             end, fired = _confluent_chain(s, max_steps - depth)
             if fired:
+                chained += fired
                 canon = replace(end, process=normalize(end.process))
                 enqueue(key_of(canon), canon, depth + fired)
                 continue
@@ -522,6 +583,7 @@ def reduce_all(
         non_terminating=bool(levels),
         explored=explored,
         truncated=False,
+        chained=chained,
     )
 
 
@@ -532,7 +594,7 @@ def final_values(state: ReductionState) -> dict[Name, object]:
     state even when nothing reads it: replicated (``!'q<v>.0``, the
     non-recursive translation) or read-once (``'p<v>.0``, the recursive
     store).  The oracle reports those alongside values actually
-    communicated.
+    communicated, on observable channels only, as the env records them.
     """
     values = state.env()
     _, kids = split_top(state.process)
@@ -543,6 +605,7 @@ def final_values(state: ReductionState) -> dict[Name, object]:
             and isinstance(body.continuation, Nil)
             and len(body.payload) == 1
             and body.payload[0].is_literal
+            and _observable(body.channel)
         ):
             values[body.channel] = body.payload[0].value
     return values

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -167,6 +169,75 @@ def test_cli_oracle_reduce_output_does_not_depend_on_hash_seed(tmp_path):
         outputs.append(proc.stdout.splitlines())
     assert outputs[0] == outputs[1]
     assert sum(line.startswith("irreducible") for line in outputs[0]) == 6
+
+
+def oracle_reduce(tmp_path, text: str) -> list[str]:
+    source = tmp_path / "proc.pi"
+    source.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fuseforge.bench", "oracle", "reduce", str(source)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def printed_values(line: str) -> dict:
+    return ast.literal_eval(re.search(r"values=(\{.*?\})", line).group(1))
+
+
+def test_cli_oracle_reduce_reports_only_observable_channels(tmp_path):
+    """An unread output on the restricted channel c is not a final value:
+    each state of the race reports what o and q received, and nothing for c
+    (which canonical renaming prints as %0)."""
+    lines = oracle_reduce(
+        tmp_path,
+        "(new (c) (par (out c (1) 0) (out c (2) 0) (out c (3) 0)\n"
+        "              (in c (x) (out o (x) 0)) (in c (y) (out q (y) 0))))\n",
+    )
+    states = [printed_values(line) for line in lines if line.startswith("irreducible")]
+    assert sorted((v["o"], v["q"]) for v in states) == \
+        [(o, q) for o in (1, 2, 3) for q in (1, 2, 3) if o != q]
+    assert all(set(v) == {"o", "q"} for v in states)
+
+
+def ring_text(values: list[int], steps: int) -> str:
+    """A ring in the process grammar, translated as the oracle translates a
+    superstep: agent a reads agent a-1, even agents add what they read, odd
+    ones subtract it; the states of the last superstep stay free."""
+    k = len(values)
+
+    def state(a, step):
+        return f"s{a % k}g{step}"
+
+    def equation(a, step):
+        args = "m1 x" if a % 2 == 0 else "x m1"
+        op = "add" if a % 2 == 0 else "sub"
+        return (f"(in {state(a, step)} (x) (new (d m) (par (in {state(a - 1, step)} (m) "
+                f"(out d (m) 0)) (in d (m1) (apply {op} ({args}) y "
+                f"(bang (out {state(a, step + 1)} (y) 0)))))))")
+
+    def inputs(step):
+        return " ".join(state(a, step) for a in range(k))
+
+    system = " ".join(f"(bang (out {state(a, 0)} ({v}) 0))" for a, v in enumerate(values))
+    system = f"(new ({inputs(0)}) (par {system} {' '.join(equation(a, 0) for a in range(k))}))"
+    for step in range(1, steps):
+        system = (f"(new ({inputs(step)}) (par {system} "
+                  f"{' '.join(equation(a, step) for a in range(k))}))")
+    return system
+
+
+def test_cli_oracle_reduce_prints_chained_steps(tmp_path):
+    """Ring 3 x 2 runs as one chain of 24 confluent steps from the start to
+    its one final state."""
+    lines = oracle_reduce(tmp_path, ring_text([5, 6, 7], 2))
+    (final,) = [line for line in lines if line.startswith("irreducible")]
+    assert "irreducible steps=24 " in final
+    # (5, 6, 7) -> (5 + 7, 6 - 5, 7 + 6) = (12, 1, 13) -> (25, -11, 14)
+    assert {k: v for k, v in printed_values(final).items() if k.endswith("g2")} == \
+        {"s0g2": 25, "s1g2": -11, "s2g2": 14}
+    assert lines[-1] == "explored 2 states, chained 24 confluent steps"
 
 
 def test_cli_rejects_unknown_mode_with_usage_error():

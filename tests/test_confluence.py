@@ -9,13 +9,16 @@ never offer a confluent step, so they test the fallback), small rings,
 seeded translated systems (where several references make message order
 observable through an order-sensitive compute, or not through ``add``),
 step budgets that cut a chain of confluent steps, and hand-made systems at
-the edges of the rule.  A last test checks the oracle against the runtime
-on generated workloads.
+the edges of the rule.  On the same corpus, the chain that ``reduce_all``
+runs must match ``chain_reference``, which rebuilds and rescans the whole
+term at every step.  A last test checks the oracle against the runtime on
+generated workloads.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -28,6 +31,7 @@ from fuseforge.pi import (
     FunctionApply,
     ProcessId,
     bang,
+    canonical_key,
     choice,
     final_values,
     initial_state,
@@ -35,15 +39,19 @@ from fuseforge.pi import (
     inp,
     lit,
     name,
+    normalize,
     nu,
     out,
     par,
     reduce_all,
+    reduce_step,
     translate_nonrecursive,
 )
+from fuseforge.pi.reduce import _confluent_chain
 from fuseforge.runtime import execute
 from fuseforge.workloads import Workload
 
+from chain_reference import reference_chain
 from full_search import full_search, key_of
 from procgen import gen_process
 from test_reduce import (
@@ -230,6 +238,45 @@ def test_translated_systems_match_full_search():
             assert explored < full
             several += multi in compute.values()
         assert several >= 3
+
+
+def corpus() -> list:
+    """The start states of the tests above."""
+    starts = [make() for make in ORACLE_SYSTEMS.values()]
+    starts += [initial_state(make(), computes=ADD_ONE) for make in EDGE_SYSTEMS.values()]
+    starts.append(sprime_state())
+    rng = random.Random(20261018)
+    starts += [initial_state(gen_process(rng, 4)) for _ in range(400)]
+    starts += [ring_state(list(range(5, 5 + agents)), steps)
+               for agents, steps in [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)]]
+    for multi in ("lin", "add"):
+        starts += [translated_system(seed, 2, 1, 2, (multi,), self_refs=True)[0]
+                   for seed in range(6)]
+    for seed in range(8):
+        rng = random.Random(seed)
+        agents, steps = rng.randint(2, 4), rng.randint(1, 2)
+        starts.append(translated_system(seed, agents, steps, agents, ("add",))[0])
+    return starts
+
+
+@pytest.mark.parametrize("budget", [1, 3, 7, 10_000])
+def test_chain_matches_reference_chain(budget):
+    """From every start of the corpus, and from every normalized successor
+    of one (a chain that starts mid-search), the chain fires as many steps
+    as the reference and reaches the same canonical state and value env."""
+    fired_somewhere = 0
+    for start in corpus():
+        start = replace(start, process=normalize(start.process))
+        successors = [replace(s, process=normalize(s.process)) for s in reduce_step(start)]
+        for state in [start, *successors]:
+            end, fired = _confluent_chain(state, budget)
+            want, want_fired = reference_chain(state, budget)
+            assert fired == want_fired, state.process
+            assert canonical_key(normalize(end.process)) == canonical_key(normalize(want.process))
+            assert end.value_env == want.value_env
+            assert end.step_count == want.step_count == state.step_count + fired
+            fired_somewhere += fired > 0
+    assert fired_somewhere > 100
 
 
 def runtime_workload(refs, compute, values) -> Workload:

@@ -287,6 +287,35 @@ def ring_state(values: list[int], steps: int) -> ReductionState:
                            {"f": lambda m, x: x + m, "g": lambda m, x: x - m})
 
 
+def ring_arithmetic(values: list[int], steps: int) -> list[int]:
+    """The ring's values after ``steps`` supersteps, computed directly."""
+    for _ in range(steps):
+        values = [v + values[a - 1] if a % 2 == 0 else v - values[a - 1]
+                  for a, v in enumerate(values)]
+    return values
+
+
+@pytest.mark.parametrize("agents,steps", [(100, 1), (20, 2)])
+def test_large_rings_reduce_in_one_chain(agents, steps):
+    """Every step of a ring is confluent, so the start runs one chain of
+    4 steps per agent and superstep to the final state, at the default
+    recursion limit."""
+    values = [3 * a + 1 for a in range(agents)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        result = reduce_all(ring_state(values, steps), max_steps=10_000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.explored == 2 and not result.non_terminating
+    assert result.chained == 4 * agents * steps
+    (end,) = result.irreducible
+    assert end.step_count == 4 * agents * steps
+    finals = final_values(end)
+    assert [finals[name(f"s{a}g{steps}")] for a in range(agents)] == \
+        ring_arithmetic(values, steps)
+
+
 TRUNCATED_SEARCH = """
 from fuseforge.errors import ResourceLimitError
 from fuseforge.pi import canonical_key, reduce_all

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .errors import ContractError
@@ -18,10 +18,22 @@ from .errors import ContractError
 
 @dataclass(frozen=True, slots=True)
 class StateRef:
-    """Reference to an agent's state, optionally pinned to a superstep."""
+    """Reference to an agent's state, optionally pinned to a superstep.
+
+    The hash is computed once, at construction.  Workloads share one
+    reference per agent, so set and dict lookups of a reference match by
+    identity before any ``__eq__`` runs.
+    """
 
     agent_id: int
     generation: int | None = None
+    _hash: int = field(init=False, compare=False, repr=False, default=0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.agent_id, self.generation)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         if self.generation is None:

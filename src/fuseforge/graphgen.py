@@ -9,7 +9,7 @@ ascending.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ParameterError
 from .rng import SplitMix64
@@ -161,10 +161,10 @@ class Partition:
     id: int
     member_ids: tuple[int, ...]  # sorted
     cross_edges: tuple[tuple[int, int, int], ...]  # (local, remote, remote partition)
+    member_set: frozenset[int] = field(init=False, compare=False, repr=False)
 
-    @property
-    def member_set(self) -> frozenset[int]:
-        return frozenset(self.member_ids)
+    def __post_init__(self):
+        object.__setattr__(self, "member_set", frozenset(self.member_ids))
 
 
 def build_partitions(graph: Graph, assignment: list[int], count: int) -> list[Partition]:

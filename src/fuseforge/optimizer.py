@@ -38,7 +38,7 @@ MODE_PASSES: dict[str, frozenset[str]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RefinedNeighbors:
     """One agent's references by source agent id."""
 
@@ -79,7 +79,7 @@ class Aggregator:
 # Partition plans ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgentPlan:
     equation: BehavioralEquation
     refined: RefinedNeighbors | None = None
@@ -164,7 +164,7 @@ def refine_communication(
 
 def apply_refinement(plan: PartitionPlan, refined: dict[int, RefinedNeighbors]) -> PartitionPlan:
     per_agent = {
-        a: replace(ap, refined=refined[a]) for a, ap in plan.per_agent.items()
+        a: AgentPlan(ap.equation, refined[a], ap.staged) for a, ap in plan.per_agent.items()
     }
     return replace(plan, per_agent=per_agent)
 
@@ -216,7 +216,7 @@ def rewrite_remote(plan: PartitionPlan) -> PartitionPlan:
                     f"to agent {src} of partition {src_pid}"
                 )
             reads.append(src)
-        per_agent[agent] = replace(ap, staged=tuple(sorted(reads)))
+        per_agent[agent] = _with_staged(ap, reads)
     return replace(plan, per_agent=per_agent, passes=plan.passes | {"remote"})
 
 
@@ -230,8 +230,16 @@ def rewrite_local(plan: PartitionPlan) -> PartitionPlan:
             raise PipelineOrderError("rewrite_local requires refine_communication first")
         reads = [s for s in ap.staged if s not in members]
         reads.extend(ap.refined.local_static)
-        per_agent[agent] = replace(ap, staged=tuple(sorted(reads)))
+        per_agent[agent] = _with_staged(ap, reads)
     return replace(plan, per_agent=per_agent, passes=plan.passes | {"local"})
+
+
+def _with_staged(ap: AgentPlan, reads: list[int]) -> AgentPlan:
+    """``ap`` staging ``reads``; ``ap`` itself when that changes nothing."""
+    staged = tuple(sorted(reads))
+    if staged == ap.staged:
+        return ap
+    return AgentPlan(ap.equation, ap.refined, staged)
 
 
 def merge_plan(plan: PartitionPlan) -> PartitionPlan:
@@ -255,7 +263,9 @@ def aggregation_pushdown(
     references that are still read directly and the executor mails none of
     them.
     """
-    owner = next(p for p in plans if target in p.per_agent)
+    owner = next((p for p in plans if target in p.per_agent), None)
+    if owner is None:
+        raise DanglingReferenceError(f"pushdown target {target} is in no partition")
     ap = owner.per_agent[target]
     if ap.refined is None:
         raise PipelineOrderError("aggregation_pushdown requires refine_communication first")
@@ -288,15 +298,13 @@ def aggregation_pushdown(
         if agg is not None:
             plan = replace(plan, aggregators=plan.aggregators + (agg,))
         elif plan is owner and replaced:
-            refined = replace(
-                ap.refined,
-                remote_static=tuple(
-                    sp for sp in ap.refined.remote_static if sp[0] not in replaced
-                ),
-                dynamic=tuple(s for s in ap.refined.dynamic if s not in replaced),
+            refined = RefinedNeighbors(
+                ap.refined.local_static,
+                tuple(sp for sp in ap.refined.remote_static if sp[0] not in replaced),
+                tuple(s for s in ap.refined.dynamic if s not in replaced),
             )
             staged = tuple(s for s in ap.staged if s not in replaced)
-            per_agent = {**plan.per_agent, target: replace(ap, refined=refined, staged=staged)}
+            per_agent = {**plan.per_agent, target: AgentPlan(eq, refined, staged)}
             plan = replace(plan, per_agent=per_agent,
                            pushdown_replaced={**plan.pushdown_replaced,
                                               target: frozenset(replaced)},

@@ -48,12 +48,15 @@ class Workload:
 
 
 def _recursive_equations(graph: Graph, compute_of: Callable[[int], str]) -> dict[int, BehavioralEquation]:
-    eqs = {}
-    for a in range(graph.vertex_count):
-        ref = StateRef(a)
-        refs = tuple(StateRef(v) for v in graph.neighbors(a))
-        eqs[a] = BehavioralEquation(ref, compute_of(a), refs, ref)
-    return eqs
+    """One equation per agent; every reference to an agent, in any equation
+    or static-marks set, is that agent's single ``StateRef``."""
+    refs = [StateRef(a) for a in range(graph.vertex_count)]
+    return {
+        a: BehavioralEquation(
+            ref, compute_of(a), tuple(map(refs.__getitem__, graph.neighbors(a))), ref
+        )
+        for a, ref in enumerate(refs)
+    }
 
 
 def _all_static(eqs: dict[int, BehavioralEquation]) -> dict[int, set[StateRef]]:

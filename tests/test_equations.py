@@ -143,3 +143,12 @@ def test_duplicate_references_rejected():
 def test_recursive_flag():
     assert BehavioralEquation(StateRef(1), "f", (), StateRef(1)).recursive
     assert not BehavioralEquation(StateRef(1), "f", (), StateRef(2)).recursive
+
+
+def test_state_ref_hash_is_the_tuple_hash_and_equality_is_by_value():
+    for ref in (StateRef(7), StateRef(7, 3), StateRef(-1, 0)):
+        assert hash(ref) == hash((ref.agent_id, ref.generation))
+        twin = StateRef(ref.agent_id, ref.generation)
+        assert twin is not ref and twin == ref and {twin} == {ref}
+    assert StateRef(7) != StateRef(7, 0)
+    assert repr(StateRef(7, 3)) == "s7g3"

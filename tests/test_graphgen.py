@@ -6,12 +6,14 @@ import hashlib
 import math
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
 from fuseforge.errors import ParameterError
 from fuseforge.graphgen import (
     Graph,
+    Partition,
     cross_partition_edge_count,
     erm,
     load_graph,
@@ -121,6 +123,16 @@ def test_partitioners_disjoint_cover_on_random_graphs():
                 seen |= p.member_set
             assert seen == set(range(n))
             assert len(parts) == (n + target - 1) // target
+
+
+def test_partition_member_set_is_built_once_and_not_compared():
+    p = Partition(2, (1, 4, 5), ((1, 0, 0),))
+    assert p.member_set == frozenset({1, 4, 5})
+    assert p.member_set is p.member_set
+    assert p == Partition(2, (1, 4, 5), ((1, 0, 0),))
+    assert hash(p) == hash(Partition(2, (1, 4, 5), ((1, 0, 0),)))
+    assert repr(p) == "Partition(id=2, member_ids=(1, 4, 5), cross_edges=((1, 0, 0),))"
+    assert replace(p, member_ids=(1, 4)).member_set == frozenset({1, 4})
 
 
 def test_cross_edges_consistent_both_directions():

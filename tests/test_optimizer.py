@@ -5,7 +5,11 @@ from __future__ import annotations
 import pytest
 
 from fuseforge.equations import BehavioralEquation, StateRef
-from fuseforge.errors import AlgebraicPreconditionError, PipelineOrderError
+from fuseforge.errors import (
+    AlgebraicPreconditionError,
+    DanglingReferenceError,
+    PipelineOrderError,
+)
 from fuseforge.graphgen import Graph, build_partitions, erm, partition_greedy
 from fuseforge.optimizer import (
     MODE_PASSES,
@@ -22,7 +26,7 @@ from fuseforge.optimizer import (
     synthesize_caches,
     validate_options,
 )
-from fuseforge.workloads import build_gol, state_checksum
+from fuseforge.workloads import build_economics, build_gol, state_checksum
 from fuseforge.runtime import Engine, execute
 
 
@@ -284,6 +288,32 @@ def test_pushdown_requires_refinement():
     plans = [initial_plan(p, eqs) for p in parts]
     with pytest.raises(PipelineOrderError):
         aggregation_pushdown(plans, 0, {"min": min_contract()})
+
+
+def test_pushdown_to_an_unknown_target_names_it():
+    wl = build_economics(33)
+    parts = partition_greedy(wl.graph, 9, 0)
+    with pytest.raises(DanglingReferenceError, match="999"):
+        default_pipeline(parts, wl.equations, wl.static_marks, MODE_PASSES["full+pushdown"],
+                         contracts=wl.contracts, pushdown_targets=(999,))
+
+
+def test_passes_reuse_the_plans_of_agents_they_leave_unchanged():
+    """gol 8x8 in four partitions: an interior agent has no remote reads,
+    so rewrite_remote hands back its plan object."""
+    wl = build_gol(8, 8)
+    parts = partition_greedy(wl.graph, 16, 0)
+    plans = [apply_refinement(initial_plan(p, wl.equations),
+                              refine_communication(p, wl.equations, wl.static_marks))
+             for p in parts]
+    caches = synthesize_caches({p.partition.id: {a: ap.refined for a, ap in p.per_agent.items()}
+                                for p in plans})
+    plans = [register_caches(p, caches) for p in plans]
+    remote = [rewrite_remote(p) for p in plans]
+    assert any(not ap.refined.remote_static for p in plans for ap in p.per_agent.values())
+    for before, after in zip(plans, remote):
+        for a, ap in before.per_agent.items():
+            assert (after.per_agent[a] is ap) == (not ap.refined.remote_static)
 
 
 def test_validate_options_dependencies():

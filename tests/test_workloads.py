@@ -7,7 +7,7 @@ import pytest
 
 from fuseforge.equations import default_run
 from fuseforge.errors import ParameterError
-from fuseforge.graphgen import Graph, partition_greedy
+from fuseforge.graphgen import Graph, erm, partition_greedy
 from fuseforge.optimizer import MODE_PASSES, default_pipeline
 from fuseforge.runtime import execute
 from fuseforge.workloads import (
@@ -43,6 +43,25 @@ def run_modes(wl, parts, rounds, modes=None, pushdown=False):
         state, metrics = execute(wl, plans, rounds=rounds)
         checks[mode] = (state, metrics)
     return checks
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_gol(6, 5, seed=1),
+    lambda: build_epidemics(40, seed=2, p=0.1),
+    lambda: build_economics(17, seed=3),
+    lambda: build_pagerank(erm(30, 0.2, 4)),
+], ids=["gol", "epidemics", "economics", "pagerank"])
+def test_every_reference_to_an_agent_is_one_shared_state_ref(build):
+    wl = build()
+    ref_of = {a: eq.lhs for a, eq in wl.equations.items()}
+    assert sorted(ref_of) == list(range(wl.graph.vertex_count))
+    for a, eq in wl.equations.items():
+        assert ref_of[a].agent_id == a and eq.rhs is ref_of[a]
+        assert len(eq.reference_set) == wl.graph.degree(a)
+        for ref in eq.reference_set:
+            assert ref is ref_of[ref.agent_id]
+        for ref in wl.static_marks[a]:
+            assert ref is ref_of[ref.agent_id]
 
 
 # Game of Life ---------------------------------------------------------------

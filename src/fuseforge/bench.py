@@ -4,7 +4,7 @@ Subcommands:
 
 * ``fuseforge run``: one configuration, one MetricsRow (printed and
   optionally appended to a CSV).
-* ``fuseforge sweep``: sweep agents or threads over a list of values.
+* ``fuseforge sweep``: sweep the agent count over a list of values.
 * ``fuseforge oracle reduce``: reduce a process expression exhaustively and
   print every irreducible state with its final value environment.
 
@@ -24,7 +24,6 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import FuseForgeError, ResourceLimitError, UsageError
 from .graphgen import (
-    Graph,
     erm,
     load_graph,
     partition_greedy,
@@ -63,7 +62,6 @@ class RunConfig:
     partitioner: str = "greedy"
     mode: str = "full"
     rounds: int = -1  # -1: workload default
-    threads: int = 1
     seed: int = 0
     repetitions: int = 3
     # workload constants
@@ -96,14 +94,19 @@ class RunConfig:
             raise UsageError(
                 f"unknown partitioner {self.partitioner!r}; choose from {PARTITIONERS}"
             )
-        if self.partitions < 1 or self.threads < 1 or self.agents < 2:
-            raise UsageError("partitions/threads must be >= 1 and agents >= 2")
+        if self.partitions < 1 or self.agents < 2:
+            raise UsageError("partitions must be >= 1 and agents >= 2")
+        if self.rounds < -1:
+            raise UsageError(f"rounds must be >= 0, or -1 for the workload default, "
+                             f"not {self.rounds}")
+        if self.repetitions < 1:
+            raise UsageError(f"repetitions must be >= 1, not {self.repetitions}")
         validate_options(MODE_PASSES[self.mode])
 
 
 COLUMNS = [
     "workload", "agents", "partitions", "partitioner", "mode", "rounds",
-    "threads", "seed", "mean_time_per_round_ms", "total_rounds",
+    "seed", "mean_time_per_round_ms", "total_rounds",
     "logical_messages_per_round", "wire_messages_per_round",
     "header_units_per_round", "opt_refine_ms", "opt_cache_ms", "opt_remote_ms",
     "opt_local_ms", "opt_merge_ms", "opt_pushdown_ms", "opt_total_ms",
@@ -133,7 +136,7 @@ class MetricsRow:
             return f"{x:.6g}"
         cells = [
             c.workload, str(c.agents), str(c.partitions), c.partitioner, c.mode,
-            str(c.resolved_rounds()), str(c.threads), str(c.seed),
+            str(c.resolved_rounds()), str(c.seed),
             num(self.mean_time_per_round_ms), str(self.total_rounds),
             num(self.logical_messages_per_round), num(self.wire_messages_per_round),
             num(self.header_units_per_round),
@@ -151,13 +154,10 @@ class MetricsRow:
 
 
 def build_workload(config: RunConfig) -> tuple[Workload, float]:
+    if config.load_graph and config.workload != "pagerank":
+        raise UsageError(f"{config.workload} builds its own graph; --load-graph unsupported")
     t0 = time.perf_counter()
-    loaded: Graph | None = None
-    if config.load_graph:
-        loaded = load_graph(config.load_graph)
     if config.workload == "gol":
-        if loaded is not None:
-            raise UsageError("gol builds its torus directly; --load-graph unsupported")
         width = config.gol_width or max(3, int(round(config.agents ** 0.5)))
         height = max(3, config.agents // width)
         wl = build_gol(width, height, seed=config.seed)
@@ -174,7 +174,8 @@ def build_workload(config: RunConfig) -> tuple[Workload, float]:
             window=config.window, jitter=config.jitter,
         )
     elif config.workload == "pagerank":
-        graph = loaded if loaded is not None else erm(config.agents, config.pagerank_p, config.seed)
+        graph = (load_graph(config.load_graph) if config.load_graph
+                 else erm(config.agents, config.pagerank_p, config.seed))
         wl = build_pagerank(graph, allow_regroup=config.pagerank_tolerance)
     else:
         raise UsageError(f"unknown workload {config.workload!r}")
@@ -215,8 +216,8 @@ def run(config: RunConfig) -> MetricsRow:
     rounds = config.resolved_rounds()
 
     per_rep = []
-    for _ in range(max(1, config.repetitions)):
-        state, metrics = engine.run(rounds, threads=config.threads)
+    for _ in range(config.repetitions):
+        state, metrics = engine.run(rounds)
         per_rep.append(metrics.mean_wall_seconds_per_round)
     mean_ms: float | None = None
     logical = wire = header = 0.0
@@ -253,24 +254,9 @@ def append_rows(path: str, rows: list[MetricsRow]) -> None:
 
 
 def sweep(base: RunConfig, axis: str, values: list[int], out_path: str) -> list[MetricsRow]:
-    if axis not in ("agents", "threads"):
-        raise UsageError(f"sweep axis must be 'agents' or 'threads', not {axis!r}")
-    rows = []
-    for v in values:
-        config = replace(base)
-        if axis == "agents":
-            config.agents = v
-        else:
-            config.threads = v
-            config.agents = base.agents * v if base.agents else 1000 * v
-        rows.append(run(config))
-    if axis == "threads":
-        # soft scaling check: more threads at fixed agents-per-thread should
-        # not slow a round down; a violation is reported, never fatal
-        times = [r.mean_time_per_round_ms for r in rows if r.mean_time_per_round_ms]
-        if any(b > a * 1.05 for a, b in zip(times, times[1:])):
-            print("warning: mean time per round is not monotone over the "
-                  "thread sweep", file=sys.stderr)
+    if axis != "agents":
+        raise UsageError(f"sweep axis must be 'agents', not {axis!r}")
+    rows = [run(replace(base, agents=v)) for v in values]
     if out_path:
         append_rows(out_path, rows)
     return rows
@@ -324,7 +310,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--partitioner", choices=PARTITIONERS)
     p.add_argument("--mode", choices=sorted(MODE_PASSES))
     p.add_argument("--rounds", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--repetitions", type=int)
     p.add_argument("--erm-p", dest="erm_p", type=float)
@@ -350,9 +335,9 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="run one benchmark configuration")
     _add_config_flags(p_run)
 
-    p_sweep = sub.add_parser("sweep", help="sweep agents or threads")
+    p_sweep = sub.add_parser("sweep", help="sweep the agent count")
     _add_config_flags(p_sweep)
-    p_sweep.add_argument("--axis", choices=("agents", "threads"), required=True)
+    p_sweep.add_argument("--axis", choices=("agents",), required=True)
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated axis values, e.g. 1,2,4,8")
 

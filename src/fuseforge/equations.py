@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import ContractError
 
@@ -65,21 +65,6 @@ class BehavioralEquation:
 
 TypeTag = str  # "bool" | "int64" | "float64" | "record:<name>"
 
-_TAG_CHECKS: dict[str, Callable[[object], bool]] = {
-    "bool": lambda v: isinstance(v, bool),
-    "int64": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "float64": lambda v: isinstance(v, float),
-}
-
-
-def check_tag(tag: TypeTag, value) -> bool:
-    checker = _TAG_CHECKS.get(tag)
-    if checker is not None:
-        return checker(value)
-    if tag.startswith("record:"):
-        return value.__class__.__name__ == tag.split(":", 1)[1]
-    return True
-
 
 @dataclass(frozen=True)
 class ComputeMethodContract:
@@ -108,19 +93,6 @@ class ComputeMethodContract:
     @property
     def pushdown_eligible(self) -> bool:
         return self.associative and self.commutative
-
-
-def default_run(contract: ComputeMethodContract, state, messages: Iterable) -> object:
-    """updateState(state, partialCompute(messages)) with type-tag checks."""
-    messages = list(messages)
-    for m in messages:
-        if not check_tag(contract.in_message_type, m):
-            raise ContractError(
-                f"{contract.name}: message {m!r} does not match "
-                f"in-message type {contract.in_message_type}"
-            )
-    folded = contract.partial_compute(messages) if messages else contract.partial_compute([])
-    return contract.update_state(state, folded)
 
 
 def validate_contract(contract: ComputeMethodContract, cases: int = 200, seed: int = 0) -> None:

@@ -58,3 +58,7 @@ class CoverageError(FuseForgeError):
 
 class UsageError(FuseForgeError):
     """Invalid CLI arguments or config values."""
+
+
+class UnsupportedThreadsError(FuseForgeError):
+    """A thread count other than 1 was requested; the engine runs on one thread."""

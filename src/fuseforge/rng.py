@@ -3,8 +3,8 @@
 Python's ``random`` module is stable across versions in practice, but graph
 adjacency and per-agent streams are part of the reproducibility contract, so
 we pin the exact algorithm here.  Per-agent streams are derived from
-``(global_seed, agent_id)`` only; partition and thread identity never enter
-the derivation.
+``(global_seed, agent_id)`` only; partition identity never enters the
+derivation.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""BSP executor: per-partition kernels, slot-addressed mail, partition workers.
+"""BSP executor: per-partition kernels and slot-addressed mail.
 
 Execution follows the synchronous BSP contract: messages sent in superstep t
 are readable only in t+1.  Every agent's out-message of the previous round
@@ -62,8 +62,7 @@ so the generated code stays linear in the number of agents.
 Determinism: every fold consumes its inputs in an order fixed at compile
 time, per-agent RNG streams live inside agent values, and each partition
 writes only its own agents' buffer entries and its senders' slots, so the
-final state is bit-identical for any thread count and any merged-order
-permutation.
+final state is bit-identical for any merged-order permutation.
 """
 
 from __future__ import annotations
@@ -72,13 +71,12 @@ import time
 from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
 
 from .equations import ComputeMethodContract
-from .errors import CoverageError
+from .errors import CoverageError, UnsupportedThreadsError
 from .optimizer import PartitionPlan, RefinedNeighbors
 
 _sender = itemgetter(0)
@@ -87,7 +85,6 @@ _sender = itemgetter(0)
 @dataclass
 class Metrics:
     rounds: int
-    threads: int
     wall_seconds_per_round: list[float] = field(default_factory=list)
     logical_messages_per_round: list[int] = field(default_factory=list)
     wire_units_per_round: list[int] = field(default_factory=list)
@@ -386,9 +383,12 @@ class Engine:
     # -- execution ------------------------------------------------------------
 
     def run(self, rounds: int, threads: int = 1) -> tuple[SimulationState, Metrics]:
+        # perfbench/cases.py is the only caller that passes ``threads``
+        if threads != 1:
+            raise UnsupportedThreadsError(f"threads={threads}: the engine runs on one thread")
         n = self.n
         wl = self.workload
-        metrics = Metrics(rounds=rounds, threads=threads)
+        metrics = Metrics(rounds=rounds)
         for a in self.track_inbound:
             metrics.inbound_wire_by_agent[a] = []
             metrics.inbound_total_by_agent[a] = []
@@ -405,51 +405,37 @@ class Engine:
                 mb[j] = out
         self._fold_aggregates(prev, mb)
 
-        programs = self.programs
-        pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-        try:
-            for _ in range(rounds):
-                t0 = time.perf_counter()
-                counters = [[0, 0] for _ in programs]  # logical, cross-partition
+        steps = [step for program in self.programs for step in program]
+        for _ in range(rounds):
+            t0 = time.perf_counter()
+            counter = [0, 0]  # logical, cross-partition
+            for kernel, table, pc, up, sm in steps:
+                kernel(table, prev, nxt, values, mb, mn, counter, pc, up, sm)
 
-                def work(idx: int) -> None:
-                    counter = counters[idx]
-                    for kernel, table, pc, up, sm in programs[idx]:
-                        kernel(table, prev, nxt, values, mb, mn, counter, pc, up, sm)
+            # barrier: aggregator partials into their slots
+            folded = self._fold_aggregates(nxt, mn)
 
-                if pool is None:
-                    for i in range(len(programs)):
-                        work(i)
-                else:
-                    list(pool.map(work, range(len(programs))))
+            # one wire unit per directed cache per round, plus one per
+            # dynamic/aggregated cross-partition message
+            cross = counter[1]
+            logical = counter[0] + folded
+            wire = cross + folded + self.cache_count
+            header = cross if self.cross_header else 0
 
-                # barrier: aggregator partials into their slots
-                folded = self._fold_aggregates(nxt, mn)
+            mb, mn = mn, mb
+            prev, nxt = nxt, prev
 
-                # one wire unit per directed cache per round, plus one per
-                # dynamic/aggregated cross-partition message
-                cross = sum(c[1] for c in counters)
-                logical = sum(c[0] for c in counters) + folded
-                wire = cross + folded + self.cache_count
-                header = cross if self.cross_header else 0
-
-                mb, mn = mn, mb
-                prev, nxt = nxt, prev
-
-                metrics.wall_seconds_per_round.append(time.perf_counter() - t0)
-                metrics.logical_messages_per_round.append(logical)
-                metrics.wire_units_per_round.append(wire)
-                metrics.header_units_per_round.append(header)
-                for a in self.track_inbound:
-                    home = self.partition_of[a]
-                    o, senders = self._senders.get(a, (0, ()))
-                    sent = [s for s, m in zip(senders, mb[o:o + len(senders)]) if m is not None]
-                    metrics.inbound_wire_by_agent[a].append(sum(
-                        1 for s in sent if s < 0 or self.partition_of[s] != home))
-                    metrics.inbound_total_by_agent[a].append(len(sent))
-        finally:
-            if pool is not None:
-                pool.shutdown()
+            metrics.wall_seconds_per_round.append(time.perf_counter() - t0)
+            metrics.logical_messages_per_round.append(logical)
+            metrics.wire_units_per_round.append(wire)
+            metrics.header_units_per_round.append(header)
+            for a in self.track_inbound:
+                home = self.partition_of[a]
+                o, senders = self._senders.get(a, (0, ()))
+                sent = [s for s, m in zip(senders, mb[o:o + len(senders)]) if m is not None]
+                metrics.inbound_wire_by_agent[a].append(sum(
+                    1 for s in sent if s < 0 or self.partition_of[s] != home))
+                metrics.inbound_total_by_agent[a].append(len(sent))
 
         state = SimulationState(superstep=rounds, agent_values={a: values[a] for a in range(n)})
         return state, metrics
@@ -473,9 +459,8 @@ def execute(
     workload,
     plans: list[PartitionPlan],
     rounds: int,
-    threads: int = 1,
     track_inbound: tuple[int, ...] = (),
 ) -> tuple[SimulationState, Metrics]:
     """Compile the plans and run ``rounds`` supersteps."""
     engine = Engine(workload, plans, track_inbound)
-    return engine.run(rounds, threads=threads)
+    return engine.run(rounds)

@@ -5,7 +5,7 @@ Each builder returns a Workload bundle: graph, per-agent equations, contract
 registry, initial values, static communication marks, and pushdown targets.
 Stochastic workloads keep a SplitMix64 state inside each agent value, derived
 from (seed, agent_id) only, so trajectories are identical under every
-partitioning, optimizer mode, and thread count.
+partitioning and optimizer mode.
 
 The epidemics and market rules are this artifact's stand-ins (the benchmark's
 origin defines them elsewhere): SIR with per-contact infection probability,

@@ -108,7 +108,7 @@ class Interpreter:
 
     def run(self, rounds: int) -> tuple[SimulationState, Metrics]:
         n = len(self.per_agent)
-        metrics = Metrics(rounds=rounds, threads=1)
+        metrics = Metrics(rounds=rounds)
         for a in self.track_inbound:
             metrics.inbound_wire_by_agent[a] = []
             metrics.inbound_total_by_agent[a] = []

@@ -273,13 +273,13 @@ def test_criterion_5_performance_sanity():
     checks = {}
     for mode in ("unopt", "full"):
         plans = plans_for(wl, parts, mode)
-        state, metrics = execute(wl, plans, rounds=200, threads=8)
+        state, metrics = execute(wl, plans, rounds=200)
         timings[mode] = metrics.mean_wall_seconds_per_round
         checks[mode] = state_checksum(wl, state.agent_values)
     ratio = timings["unopt"] / timings["full"]
     elapsed = time.perf_counter() - t0
     report(
-        "5. performance sanity (full vs unopt on gol 100x100, 200 rounds, 8 threads)",
+        "5. performance sanity (full vs unopt on gol 100x100, 200 rounds)",
         ratio > 1.3 and checks["unopt"] == checks["full"] and elapsed < 120.0,
         f"speedup {ratio:.2f}x (need > 1.3x, 2x expected), {elapsed:.1f}s < 120s",
     )

@@ -21,11 +21,12 @@ from fuseforge.bench import (
     sweep,
 )
 from fuseforge.errors import UsageError
+from fuseforge.graphgen import erm, save_graph
 
 
 def small_config(**overrides) -> RunConfig:
     base = RunConfig(workload="gol", agents=100, partitions=4, mode="full",
-                     rounds=5, threads=1, seed=7, repetitions=1)
+                     rounds=5, seed=7, repetitions=1)
     for k, v in overrides.items():
         setattr(base, k, v)
     return base
@@ -77,16 +78,10 @@ def test_csv_append_only_header_stable(tmp_path):
 
 def test_sweep_single_value_single_row(tmp_path):
     path = str(tmp_path / "sweep.csv")
-    rows = sweep(small_config(), "threads", [1], path)
+    rows = sweep(small_config(), "agents", [100], path)
     assert len(rows) == 1
     lines = open(path).read().splitlines()
     assert len(lines) == 2
-
-
-def test_sweep_threads_scales_agents():
-    rows = sweep(small_config(agents=50, rounds=2), "threads", [1, 2], "")
-    assert rows[0].config.agents == 50
-    assert rows[1].config.agents == 100  # agents-per-thread held fixed
 
 
 def test_config_file_with_cli_override(tmp_path):
@@ -131,6 +126,42 @@ def test_save_and_load_graph_roundtrip(tmp_path):
     second = run(small_config(workload="pagerank", agents=60, partitions=3,
                               rounds=4, pagerank_p=0.2, load_graph=str(saved)))
     assert first.checksum == second.checksum
+
+
+@pytest.mark.parametrize("workload", ["economics", "epidemics-erm", "epidemics-sbm"])
+def test_load_graph_rejected_where_the_workload_builds_its_graph(tmp_path, workload):
+    saved = tmp_path / "graph.edges"
+    save_graph(erm(50, 0.2, 3), str(saved))
+    with pytest.raises(UsageError, match=workload):
+        run(small_config(workload=workload, agents=40, rounds=1, load_graph=str(saved)))
+
+
+@pytest.mark.parametrize("overrides", [{"rounds": -5}, {"repetitions": 0}, {"repetitions": -1}],
+                         ids=["rounds-5", "repetitions0", "repetitions-1"])
+def test_out_of_range_counts_rejected(overrides):
+    with pytest.raises(UsageError, match=next(iter(overrides))):
+        run(small_config(**overrides))
+
+
+def exit_code(argv: list[str]) -> int:
+    """``main``'s return code, or argparse's exit code for arguments it rejects."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["run", "--threads", "2"], ""),
+    (["run"], "threads=2\n"),
+    (["sweep", "--axis", "threads", "--values", "1"], ""),
+], ids=["run-flag", "config-key", "sweep-axis"])
+def test_thread_settings_rejected(tmp_path, argv, config):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    assert exit_code([*argv, "--config", str(cfg), "--workload", "gol", "--agents", "16",
+                      "--rounds", "1", "--repetitions", "1",
+                      "--out", str(tmp_path / "out.csv")]) == 2
 
 
 def test_cli_entrypoint_oracle_reduce(tmp_path):

@@ -15,8 +15,6 @@ PACKAGE = ROOT / "src" / "fuseforge"
 SEARCHED = (PACKAGE, ROOT / "perfbench")
 
 ALLOWED = {
-    "default_run": "reference run semantics with type-tag checks, kept until a checked "
-                   "executor mode takes them over",
     "ReduceAllResult.final_value_sets": "oracle API that acceptance criterion 2 reads",
     "DynamicStateRef.fold_op": "part of plan equality: aggregators of different folds differ",
 }

@@ -1,4 +1,4 @@
-"""Compute-method contracts, default run semantics, equation invariants."""
+"""Compute-method contracts, their run semantics, equation invariants."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from fuseforge.equations import (
     BehavioralEquation,
     ComputeMethodContract,
     StateRef,
-    default_run,
     validate_contract,
 )
 from fuseforge.errors import ContractError
@@ -34,30 +33,30 @@ def min_op_contract() -> ComputeMethodContract:
     )
 
 
+def step(c: ComputeMethodContract, s, ms: list):
+    """One superstep of an agent: ``update_state`` of the fold of ``ms``."""
+    return c.update_state(s, c.partial_compute(ms))
+
+
 def test_default_run_gol_birth():
-    assert default_run(gol_contract(), False, [1, 1, 1]) is True
+    assert step(gol_contract(), False, [1, 1, 1]) is True
 
 
 def test_default_run_gol_survives_with_two():
-    assert default_run(gol_contract(), True, [1, 1, 0]) is True
+    assert step(gol_contract(), True, [1, 1, 0]) is True
 
 
 def test_default_run_gol_overpopulation():
-    assert default_run(gol_contract(), True, [1, 1, 1, 1]) is False
+    assert step(gol_contract(), True, [1, 1, 1, 1]) is False
 
 
 def test_default_run_gol_empty_messages_keeps_state():
-    assert default_run(gol_contract(), True, []) is True
-    assert default_run(gol_contract(), False, []) is False
+    assert step(gol_contract(), True, []) is True
+    assert step(gol_contract(), False, []) is False
 
 
 def test_default_run_min_op():
-    assert default_run(min_op_contract(), 5, [3, 7, 2]) == 3
-
-
-def test_default_run_type_mismatch():
-    with pytest.raises(ContractError):
-        default_run(gol_contract(), False, [1.5])
+    assert step(min_op_contract(), 5, [3, 7, 2]) == 3
 
 
 def test_validate_contract_accepts_honest_flags():

@@ -2,7 +2,7 @@
 interpreted per-agent loop over mailbox lists they replaced
 (``interpreter.py``): the same final state and the same per-round logical,
 wire, header and tracked-inbound counts on every valid pass subset and
-partitioner of the differential suite, at 1, 2 and 8 threads.
+partitioner of the differential suite.
 
 The matrix reaches every kernel variant: ``unopt`` runs every agent at read
 arity 0 with mail in and out; PageRank sends None and folds floats in
@@ -26,7 +26,6 @@ from test_differential import WORKLOADS as DIFFERENTIAL_WORKLOADS
 from test_differential import drop_a_third_of_marks, partitionings, valid_pass_subsets
 
 ROUNDS = 6
-THREADS = (1, 2, 8)
 
 WORKLOADS = {
     **DIFFERENTIAL_WORKLOADS,
@@ -76,9 +75,8 @@ def test_kernels_match_the_interpreted_loop(workload, dynamic):
             engine = Engine(wl, plans, track)
             check_structure(engine, wl, plans)
             want = observe(wl, Interpreter(wl, plans, track).run(ROUNDS))
-            for threads in THREADS:
-                got = observe(wl, engine.run(ROUNDS, threads=threads))
-                assert got == want, (partitioner, sorted(passes), threads)
+            got = observe(wl, engine.run(ROUNDS))
+            assert got == want, (partitioner, sorted(passes))
 
 
 def test_gol_full_compiles_one_kernel_per_group_key():

@@ -75,13 +75,12 @@ def run_both(wl, assignment, passes):
                              contracts=wl.contracts, pushdown_targets=wl.pushdown_targets)
     engine = Engine(wl, plans, track_inbound=(0,))
     want_state, want = Interpreter(wl, plans, track_inbound=(0,)).run(ROUNDS)
-    for threads in (1, 2):
-        state, got = engine.run(ROUNDS, threads=threads)
-        assert state.agent_values == want_state.agent_values
-        assert (got.logical_messages_per_round, got.wire_units_per_round,
-                got.inbound_wire_by_agent, got.inbound_total_by_agent) == \
-            (want.logical_messages_per_round, want.wire_units_per_round,
-             want.inbound_wire_by_agent, want.inbound_total_by_agent)
+    state, got = engine.run(ROUNDS)
+    assert state.agent_values == want_state.agent_values
+    assert (got.logical_messages_per_round, got.wire_units_per_round,
+            got.inbound_wire_by_agent, got.inbound_total_by_agent) == \
+        (want.logical_messages_per_round, want.wire_units_per_round,
+         want.inbound_wire_by_agent, want.inbound_total_by_agent)
     return engine, state, got
 
 

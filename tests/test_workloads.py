@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import pytest
 
-from fuseforge.equations import default_run
 from fuseforge.errors import ParameterError
 from fuseforge.graphgen import Graph, erm, partition_greedy
 from fuseforge.optimizer import MODE_PASSES, default_pipeline
@@ -69,10 +68,11 @@ def test_every_reference_to_an_agent_is_one_shared_state_ref(build):
 
 def test_gol_rules_match_reference():
     c = gol_contract()
-    assert default_run(c, False, [1, 1, 1]) is True  # birth on exactly 3
-    assert default_run(c, True, [1, 1]) is True  # survival on 2
-    assert default_run(c, True, [1, 1, 1, 1]) is False  # overpopulation
-    assert default_run(c, True, [1]) is False  # underpopulation
+    pc, up = c.partial_compute, c.update_state
+    assert up(False, pc([1, 1, 1])) is True  # birth on exactly 3
+    assert up(True, pc([1, 1])) is True  # survival on 2
+    assert up(True, pc([1, 1, 1, 1])) is False  # overpopulation
+    assert up(True, pc([1])) is False  # underpopulation
     assert c.state_to_message(True) == 1 and c.state_to_message(False) == 0
 
 

@@ -117,6 +117,7 @@ COLUMNS = [
 @dataclass
 class MetricsRow:
     config: RunConfig
+    agents: int  # the agents that ran, which the requested count need not be
     mean_time_per_round_ms: float | None
     total_rounds: int
     logical_messages_per_round: float
@@ -135,7 +136,7 @@ class MetricsRow:
                 return ""
             return f"{x:.6g}"
         cells = [
-            c.workload, str(c.agents), str(c.partitions), c.partitioner, c.mode,
+            c.workload, str(self.agents), str(c.partitions), c.partitioner, c.mode,
             str(c.resolved_rounds()), str(c.seed),
             num(self.mean_time_per_round_ms), str(self.total_rounds),
             num(self.logical_messages_per_round), num(self.wire_messages_per_round),
@@ -228,6 +229,7 @@ def run(config: RunConfig) -> MetricsRow:
         header = sum(metrics.header_units_per_round) / rounds
     return MetricsRow(
         config=config,
+        agents=wl.graph.vertex_count,
         mean_time_per_round_ms=mean_ms,
         total_rounds=rounds,
         logical_messages_per_round=logical,
@@ -279,6 +281,27 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_NUMBERS = {"int": (int, "an integer"), "float": (float, "a number")}
+
+
+def _parse(where: str, kind: str, text: str):
+    """``text`` read as a value of the type named ``kind``; a UsageError
+    naming ``where`` and the text when it is not one."""
+    if kind == "bool":
+        value = _BOOLS.get(text.lower())
+        if value is None:
+            raise UsageError(f"{where}: {text!r} is not a boolean; use 1/0, true/false or yes/no")
+        return value
+    if kind not in _NUMBERS:
+        return text
+    parse, what = _NUMBERS[kind]
+    try:
+        return parse(text)
+    except ValueError:
+        raise UsageError(f"{where}: {text!r} is not {what}") from None
+
+
 def _config_from(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
@@ -286,15 +309,8 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     for k, v in file_values.items():
         if k not in by_name:
             raise UsageError(f"unknown config key {k!r}")
-        t = by_name[k].type
-        if t in ("int", int):
-            setattr(config, k, int(v))
-        elif t in ("float", float):
-            setattr(config, k, float(v))
-        elif t in ("bool", bool):
-            setattr(config, k, v.lower() in ("1", "true", "yes"))
-        else:
-            setattr(config, k, v)
+        # field types are strings under postponed annotations
+        setattr(config, k, _parse(f"config key {k!r}", by_name[k].type, v))
     for f in fields(RunConfig):
         v = getattr(args, f.name, None)
         if v is not None:
@@ -357,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
             print(",".join(COLUMNS))
             print(row.as_csv())
         elif args.command == "sweep":
-            values = [int(v) for v in args.values.split(",") if v]
+            values = [_parse("--values", "int", v) for v in args.values.split(",") if v]
             out = _out_path(args, "fuseforge-sweep.csv")
             rows = sweep(_config_from(args), args.axis, values, out)
             print(",".join(COLUMNS))

@@ -54,6 +54,7 @@ from .process import (
     name_is_free,
     nu,
     par,
+    rename,
     substitute,
     TOP,
 )
@@ -402,7 +403,7 @@ def _absorb(kids: list[PiProcess]) -> list[PiProcess]:
 
 
 def _rename_canonical(p: PiProcess) -> PiProcess:
-    """Rename binder sites to %0, %1, ... in traversal order.
+    """Rename binder sites to %0, %1, ... in pre-order.
 
     Binders whose scope contains a process identifier keep their original
     name: the identifier's definition may use it free, and definitions are
@@ -410,48 +411,10 @@ def _rename_canonical(p: PiProcess) -> PiProcess:
     """
     counter = itertools.count()
 
-    def next_name() -> Name:
-        return Name(f"%{next(counter)}")
+    def binder(b: Name, scope: PiProcess, m: dict[Name, Name]) -> Name:
+        return b if free_names(scope) is TOP else Name(f"%{next(counter)}")
 
-    def binder_for(old: Name, scope: PiProcess) -> Name:
-        return old if free_names(scope) is TOP else next_name()
-
-    def walk(q: PiProcess, env: dict[Name, Name]) -> PiProcess:
-        if isinstance(q, Nil):
-            return q
-        if isinstance(q, OutputPrefix):
-            return OutputPrefix(
-                env.get(q.channel, q.channel),
-                tuple(env.get(n, n) for n in q.payload),
-                walk(q.continuation, env),
-            )
-        if isinstance(q, InputPrefix):
-            new = [binder_for(b, q.continuation) for b in q.binders]
-            inner = dict(env)
-            inner.update(zip(q.binders, new))
-            return InputPrefix(env.get(q.channel, q.channel), tuple(new), walk(q.continuation, inner))
-        if isinstance(q, Choice):
-            return Choice(walk(q.left, env), walk(q.right, env))
-        if isinstance(q, Parallel):
-            return Parallel(walk(q.left, env), walk(q.right, env))
-        if isinstance(q, Restriction):
-            new = binder_for(q.name, q.body)
-            inner = dict(env)
-            inner[q.name] = new
-            return Restriction(new, walk(q.body, inner))
-        if isinstance(q, Replication):
-            return Replication(walk(q.body, env))
-        if isinstance(q, FunctionApply):
-            new = binder_for(q.result, q.continuation)
-            args = tuple(env.get(n, n) for n in q.args)
-            inner = dict(env)
-            inner[q.result] = new
-            return FunctionApply(q.fn, args, new, walk(q.continuation, inner))
-        if isinstance(q, ProcessId):
-            return q
-        raise StructuralError(f"unknown process node {q!r}")
-
-    return walk(p, {})
+    return rename(p, {}, binder)
 
 
 def split_top(p: PiProcess) -> tuple[list[Name], list[PiProcess]]:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -330,16 +331,38 @@ def name_is_free(n: Name, p: PiProcess) -> bool:
 def substitute(p: PiProcess, mapping: dict[Name, Name]) -> PiProcess:
     """Capture-avoiding substitution of names for names.
 
-    Substitution does not descend into ProcessId definitions; recursion
-    anchors must not rely on names that communications substitute.
+    A binder that a substituted name would be captured by is renamed to a
+    fresh name.  Substitution does not descend into ProcessId definitions;
+    recursion anchors must not rely on names that communications substitute.
     """
-    if not mapping:
-        return p
+    return rename(p, mapping, _avoid_capture) if mapping else p
+
+
+def _avoid_capture(b: Name, scope: PiProcess, m: dict[Name, Name]) -> Name:
+    return fresh(b.text) if b in m.values() else b
+
+
+def rename(p: PiProcess, mapping: dict[Name, Name],
+           binder: Callable[[Name, PiProcess, dict[Name, Name]], Name]) -> PiProcess:
+    """``p`` with its free names mapped through ``mapping`` and each binder
+    site renamed by ``binder(b, scope, m)``.
+
+    The walk is pre-order, left before right.  At a site binding ``b`` over
+    ``scope``, ``m`` is the mapping in force there less the names the site
+    binds, and the scope maps ``b`` to the name ``binder`` returns.  The
+    walk does not descend into ProcessId definitions.
+    """
+
+    def enter(binders: tuple[Name, ...], scope: PiProcess, m: dict[Name, Name]):
+        inner = dict(m)
+        for b in binders:
+            inner.pop(b, None)
+        new = tuple([binder(b, scope, inner) for b in binders])
+        inner.update({b: nb for b, nb in zip(binders, new) if nb is not b})
+        return new, inner
 
     def walk(q: PiProcess, m: dict[Name, Name]) -> PiProcess:
-        if not m or isinstance(q, Nil):
-            return q
-        if isinstance(q, ProcessId):
+        if isinstance(q, (Nil, ProcessId)):
             return q
         if isinstance(q, OutputPrefix):
             return OutputPrefix(
@@ -348,42 +371,24 @@ def substitute(p: PiProcess, mapping: dict[Name, Name]) -> PiProcess:
                 walk(q.continuation, m),
             )
         if isinstance(q, InputPrefix):
-            binders, cont, m2 = _enter_binders(q.binders, q.continuation, m)
-            return InputPrefix(m.get(q.channel, q.channel), binders, walk(cont, m2))
+            binders, inner = enter(q.binders, q.continuation, m)
+            return InputPrefix(m.get(q.channel, q.channel), binders, walk(q.continuation, inner))
         if isinstance(q, Choice):
             return Choice(walk(q.left, m), walk(q.right, m))
         if isinstance(q, Parallel):
             return Parallel(walk(q.left, m), walk(q.right, m))
         if isinstance(q, Restriction):
-            binders, body, m2 = _enter_binders((q.name,), q.body, m)
-            return Restriction(binders[0], walk(body, m2))
+            (b,), inner = enter((q.name,), q.body, m)
+            return Restriction(b, walk(q.body, inner))
         if isinstance(q, Replication):
             return Replication(walk(q.body, m))
         if isinstance(q, FunctionApply):
-            args = tuple(m.get(n, n) for n in q.args)
-            binders, cont, m2 = _enter_binders((q.result,), q.continuation, m)
-            return FunctionApply(q.fn, args, binders[0], walk(cont, m2))
+            (b,), inner = enter((q.result,), q.continuation, m)
+            return FunctionApply(q.fn, tuple(m.get(n, n) for n in q.args), b,
+                                 walk(q.continuation, inner))
         raise StructuralError(f"unknown process node {q!r}")
 
     return walk(p, dict(mapping))
-
-
-def _enter_binders(binders, body, mapping):
-    """Drop shadowed keys; rename binders that would capture substituted names."""
-    m = {k: v for k, v in mapping.items() if k not in binders}
-    targets = set(m.values())
-    new_binders = []
-    renames = {}
-    for b in binders:
-        if b in targets:
-            nb = fresh(b.text)
-            renames[b] = nb
-            new_binders.append(nb)
-        else:
-            new_binders.append(b)
-    if renames:
-        body = substitute(body, renames)
-    return tuple(new_binders), body, m
 
 
 def _flatten(p: PiProcess, cls: type) -> list[PiProcess]:

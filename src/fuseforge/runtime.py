@@ -1,35 +1,33 @@
-"""BSP executor: per-partition kernels and slot-addressed mail.
+"""BSP executor: per-partition kernels over one message array.
 
 Execution follows the synchronous BSP contract: messages sent in superstep t
-are readable only in t+1.  Every agent's out-message of the previous round
-lives in one flat message buffer of n entries, indexed by agent id.  A
-staged read, and a cache slot the receiver reads without the remote pass,
-is the id of its source agent: a cache slot holds exactly its source's
-message, so it aliases that entry, and caches remain only the wire-unit
-model.  An agent's inputs are its reads from that buffer plus its mail.
-Agents write the next round's buffer, which swaps with the previous one at
-the barrier; agent values are updated in place, since no agent reads
-another's value directly.
+are readable only in t+1.  Every message of the previous round lives in one
+flat message array: entry a < n is agent a's out-message, and entries n and
+up are mail slots.  A staged read, and a cache slot the receiver reads
+without the remote pass, is the id of its source agent: a cache slot holds
+exactly its source's message, so it aliases that entry, and caches remain
+only the wire-unit model.  Agents write the next round's array, which swaps
+with the previous one at the barrier; agent values are updated in place,
+since no agent reads another's value directly.
 
 Mail: every mail edge (a sender the receiver reaches by mail rather than by
-a read, or an aggregator folding into its target) owns one fixed slot of a
-flat mail array, and each receiver's slots are contiguous.  A sender writes
-its out-message into each of its slots every round, None included, so a
-slot always holds the last round's value; a receiver reads its range as one
-slice and drops the Nones.  Two mail arrays alternate at the barrier like
-the message buffers.  Slots are disjoint, so partitions write them without
-outboxes, and the barrier only folds aggregator partials into their slots.
-The mail array and the message buffer are seeded with each agent's
-initial-value message, so staged reads at superstep 0 match message-passing
-mode exactly.
+a read, or an aggregator folding into its target) owns one fixed slot of
+the array, and each receiver's slots are contiguous.  A sender writes its
+out-message into each of its slots every round, None included, so a slot
+always holds the last round's value; a receiver reads its range as one
+slice and drops the Nones.  Slots are disjoint, so partitions write them
+without outboxes, and the barrier only folds aggregator partials into their
+slots.  The array is seeded with each agent's initial-value message, in its
+own entry and in its slots, so staged reads at superstep 0 match
+message-passing mode exactly.
 
 Mail order: a slot's place in its receiver's range is the order the
 receiver folds it in, the same in every round: superstep 0's seeded mail
 reaches a commutative fold in arrival order too, not by sender.  An
 order-sensitive contract folds in ascending sender order; a receiver of
-such a contract that also has buffer reads folds through one
-ascending-sender list of buffer indices and slots built at compile time.  A
-commutative contract, and any contract that declares ``fold="add"`` (int
+such a contract that also has reads folds through one ascending-sender
+tuple of array indices, agents' entries and slots, built at compile time.
+A commutative contract, and any contract that declares ``fold="add"`` (int
 addition is exact in any order), folds its reads, then its mail in arrival
 order: the senders of its own partition in execution order, then each other
 partition's senders in partition order, each in execution order, then the
@@ -37,7 +35,7 @@ aggregator partials in aggregator order (aggregation pushdown only targets
 commutative folds).  That is the order a message-passing runtime that
 delivers local mail as it is sent and fans out each partition's
 cross-partition mail at the barrier would give.  Since the order is fixed
-in the layout, and an agent writes only its own value, buffer entry and
+in the layout, and an agent writes only its own value, array entry and
 slots, which nothing reads before the barrier, a partition's agents run
 grouped in any order.
 
@@ -45,7 +43,7 @@ Kernels: the engine does not interpret plans per agent.  At compile time it
 groups each partition's agents by (contract, read arity, mail shape), the
 mail shape saying whether the agent receives mail and whether it sends mail,
 and runs each group with one generated Python function over a constant
-table.  A row of the table is ``(a, i0, .., ik)``: the agent and the buffer
+table.  A row of the table is ``(a, i0, .., ik)``: the agent and the array
 indices of its reads, in ascending source order, followed by its slot range
 ``o, e`` when it receives mail and by its slots and cross-partition slot
 count when it sends mail.  The kernel's loop is ``f = fold(prev[i0], ..,
@@ -57,12 +55,13 @@ messages actually sent when one of them is None; every other contract calls
 group's shape, so groups of one shape share one code object, compiled once
 per process.  A key whose read arity exceeds the number of agents sharing
 it (a hub) keeps each row's reads as one tuple instead of unpacking them,
-so the generated code stays linear in the number of agents.
+so the generated code stays linear in the number of agents; so does an
+order-sensitive fold of reads and mail, whose tuple is its merged list.
 
 Determinism: every fold consumes its inputs in an order fixed at compile
 time, per-agent RNG streams live inside agent values, and each partition
-writes only its own agents' buffer entries and its senders' slots, so the
-final state is bit-identical for any merged-order permutation.
+writes only its own agents' entries and its senders' slots, so the final
+state is bit-identical for any merged-order permutation.
 """
 
 from __future__ import annotations
@@ -73,14 +72,10 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import itemgetter
 
 from .equations import ComputeMethodContract
 from .errors import CoverageError, UnsupportedThreadsError
 from .optimizer import PartitionPlan, RefinedNeighbors
-
-_sender = itemgetter(0)
-
 
 @dataclass
 class Metrics:
@@ -124,15 +119,12 @@ def _add_tree(terms: list[str]) -> str:
     return f"({_add_tree(terms[:mid])} + {_add_tree(terms[mid:])})"
 
 
-def _kernel_source(arity: int | None, add: bool, receive: str | None, sends: bool) -> str:
+def _kernel_source(arity: int | None, add: bool, mail: bool, sends: bool) -> str:
     """Python source of the kernel for one group shape.
 
     ``arity`` None means each row holds its reads as one tuple ``I``.
-    ``receive`` is None (no mail ever arrives), ``"merged"`` (an
-    order-sensitive fold: reads and mail merged by sender, so a row with
-    reads lists buffer indices ``i`` and slots ``~j`` in ascending sender
-    order as ``I``) or ``"arrival"`` (a commutative or ``add`` fold: reads,
-    then mail in slot order).
+    ``mail`` means each row also has a slot range ``o, e``, folded after the
+    reads in slot order.
     """
     if arity is None:
         row = ["a", "I"]
@@ -141,7 +133,7 @@ def _kernel_source(arity: int | None, add: bool, receive: str | None, sends: boo
         idx = [f"i{j}" for j in range(arity)]
         row = ["a", *idx]
         listed = "[" + ", ".join(f"prev[{i}]" for i in idx) + "]"
-    if receive is not None:
+    if mail:
         row += ["o", "e"]
     if sends:
         row += ["J", "x"]
@@ -162,23 +154,18 @@ def _kernel_source(arity: int | None, add: bool, receive: str | None, sends: boo
 
     present = ["if None in ms:",
                "    ms = [m for m in ms if m is not None]"]
-    if receive is None:
+    if not mail:
         body = fold
     elif add:
         # int addition is exact, so mail joins the sum in any order
         body = [*fold,
-                "ms = mb[o:e]",
+                "ms = prev[o:e]",
                 *present,
                 "if ms:",
                 "    t = sum(ms)",
                 "    f = t if f is None else f + t"]
     else:
-        if receive == "merged" and arity is None:
-            gather = "ms = [prev[i] if i >= 0 else mb[~i] for i in I]"
-        elif arity == 0:
-            gather = "ms = mb[o:e]"
-        else:
-            gather = f"ms = {listed} + mb[o:e]"
+        gather = "ms = prev[o:e]" if arity == 0 else f"ms = {listed} + prev[o:e]"
         body = [gather, *present, "f = pc(ms) if ms else None"]
 
     body += ["s = up(values[a], f)", "values[a] = s"]
@@ -186,14 +173,14 @@ def _kernel_source(arity: int | None, add: bool, receive: str | None, sends: boo
         body += ["out = sm(s)",
                  "nxt[a] = out",
                  "for j in J:",
-                 "    mn[j] = out",
+                 "    nxt[j] = out",
                  "if out is not None:",
                  "    logical += len(J)",
                  "    crossed += x"]
     else:
         body += ["nxt[a] = sm(s)"]
 
-    lines = ["def kernel(T, prev, nxt, values, mb, mn, counter, pc, up, sm):"]
+    lines = ["def kernel(T, prev, nxt, values, counter, pc, up, sm):"]
     if sends:
         lines.append("    logical = crossed = 0")
     lines.append(f"    for {', '.join(row)}{',' if len(row) == 1 else ''} in T:")
@@ -220,8 +207,9 @@ class Engine:
     ``(kernel, table, partial_compute, update_state, state_to_message)``.
     One step covers the partition's agents of one contract, read arity and
     mail shape.  Every agent the partition runs is in exactly one row of one
-    table.  ``slots`` is the length of the mail array; ``slots_of`` maps each
-    mail sender to its slots, and ``aggregator_slots[k]`` is the slot of
+    table.  ``slots`` counts the mail slots, entries ``n .. n+slots-1`` of
+    the message array; ``slots_of`` maps each mail sender to the array
+    indices of its slots, and ``aggregator_slots[k]`` is the array index of
     ``aggregators[k]``'s partial.
     """
 
@@ -258,14 +246,14 @@ class Engine:
             aggs_of[agg.target_agent].append(k)
         self.aggregator_slots = [0] * len(self.aggregators)
 
-        # per reader: the sources it reads from the buffer, ascending, and its
+        # per reader: the sources it reads from the array, ascending, and its
         # mail sources: whatever no staged read or cache slot covers, plus
         # the aggregators folding into it (aggregation pushdown has already
         # dropped the senders they fold), laid out as its slots [o, e) in
         # the order it folds them
         self.contract_of: list[ComputeMethodContract] = [None] * n  # type: ignore
         compute_of: list[str] = [""] * n
-        row_of: list[tuple] = [()] * n  # (agent, *its reads[, o, e])
+        row_of: list[tuple] = [()] * n  # (agent, *its reads[, o, e]) or (agent, merged)
         arity_of = [0] * n
         receives = [False] * n
         slots_of: list[array | None] = [None] * n  # per sender: its slots, ascending
@@ -278,7 +266,7 @@ class Engine:
         # slots, an aggregator's synthetic id for a partial
         self._senders: dict[int, tuple[int, tuple[int, ...]]] = {}
         partition_of = self.partition_of
-        slot = 0
+        slot = n  # mail slots follow the agents' entries
         owned = {}  # per partition: the range of slots its agents own
         for plan in plans:
             pid = plan.partition.id
@@ -324,17 +312,16 @@ class Engine:
                 receives[a] = True
                 if gather and not in_arrival:
                     # an order-sensitive fold of reads and mail reads both
-                    # through one ascending-sender list, slot j as ~j
-                    by_sender = sorted([*zip(mail, range(~o, ~slot, -1)), *zip(gather, gather)],
-                                       key=_sender)
-                    row_of[a] = (a, tuple(i for _, i in by_sender), o, slot)
+                    # through one ascending-sender tuple of array indices
+                    by_sender = sorted([*zip(mail, range(o, slot)), *zip(gather, gather)])
+                    row_of[a] = (a, tuple(i for _, i in by_sender))
                 else:
                     row_of[a] = (a, *gather, o, slot)
                 if a in tracked:
                     self._senders[a] = (o, (*mail, *(self.aggregators[k].ref.synthetic_id
                                                      for k in aggs)))
             owned[pid] = first, slot
-        self.slots = slot
+        self.slots = slot - n
         self.slots_of = {s: J for s, J in enumerate(slots_of) if J}
         # per sender: how many of its slots other partitions own
         crossing = [0] * n
@@ -347,15 +334,17 @@ class Engine:
         interned: dict[tuple, tuple] = {}
         key_of = [interned.setdefault(key, key) for key in zip(
             compute_of, arity_of, receives, (a in self.slots_of for a in range(n)))]
-        shape_of = {}
+        shape_of = {}  # per key: its kernel shape, and whether rows pack their reads
         for key, count in Counter(key_of).items():
             compute, arity, receiving, sending = key
-            c = workload.contracts[compute]
-            receive = ("arrival" if arrival[compute] else "merged") if receiving else None
-            # a key with more reads than agents keeps each row's reads as one
-            # tuple, and so does an order-sensitive fold of reads and mail
-            tupled = arity > count or (receive == "merged" and arity > 0)
-            shape_of[key] = (None if tupled else arity, c.fold == "add", receive, sending)
+            if receiving and arity and not arrival[compute]:
+                # rows already hold their merged reads and mail as one tuple
+                shape_of[key] = (None, False, False, sending), False
+                continue
+            # a key with more reads than agents keeps each row's reads as one tuple
+            pack = arity > count
+            shape_of[key] = (None if pack else arity, workload.contracts[compute].fold == "add",
+                             receiving, sending), pack
 
         self.programs: list[list[tuple]] = []
         for order in orders:
@@ -363,7 +352,7 @@ class Engine:
             for a in order:
                 key = key_of[a]
                 row = row_of[a]
-                if shape_of[key][0] is None and shape_of[key][2] != "merged":
+                if shape_of[key][1]:
                     k = key[1] + 1
                     row = (a, row[1:k], *row[k:])
                 if key[3]:
@@ -372,7 +361,7 @@ class Engine:
             program = []
             for key, rows in groups.items():
                 c = self.contract_of[rows[0][0]]
-                program.append((_make_kernel(shape_of[key]), tuple(rows), c.partial_compute,
+                program.append((_make_kernel(shape_of[key][0]), tuple(rows), c.partial_compute,
                                 c.update_state, c.state_to_message))
             self.programs.append(program)
 
@@ -395,25 +384,25 @@ class Engine:
 
         values: list = [wl.initial_values[a] for a in range(n)]
         # superstep-0 seeding: initial-value sends arrive at round 0
-        prev: list = [self.contract_of[a].state_to_message(values[a]) for a in range(n)]
-        nxt: list = [None] * n
-        mb: list = [None] * self.slots
-        mn: list = [None] * self.slots
+        prev: list = [None] * (n + self.slots)
+        for a, c in enumerate(self.contract_of):
+            prev[a] = c.state_to_message(values[a])
         for s, slots in self.slots_of.items():
             out = prev[s]
             for j in slots:
-                mb[j] = out
-        self._fold_aggregates(prev, mb)
+                prev[j] = out
+        self._fold_aggregates(prev)
+        nxt: list = [None] * len(prev)
 
         steps = [step for program in self.programs for step in program]
         for _ in range(rounds):
             t0 = time.perf_counter()
             counter = [0, 0]  # logical, cross-partition
             for kernel, table, pc, up, sm in steps:
-                kernel(table, prev, nxt, values, mb, mn, counter, pc, up, sm)
+                kernel(table, prev, nxt, values, counter, pc, up, sm)
 
             # barrier: aggregator partials into their slots
-            folded = self._fold_aggregates(nxt, mn)
+            folded = self._fold_aggregates(nxt)
 
             # one wire unit per directed cache per round, plus one per
             # dynamic/aggregated cross-partition message
@@ -422,7 +411,6 @@ class Engine:
             wire = cross + folded + self.cache_count
             header = cross if self.cross_header else 0
 
-            mb, mn = mn, mb
             prev, nxt = nxt, prev
 
             metrics.wall_seconds_per_round.append(time.perf_counter() - t0)
@@ -432,7 +420,7 @@ class Engine:
             for a in self.track_inbound:
                 home = self.partition_of[a]
                 o, senders = self._senders.get(a, (0, ()))
-                sent = [s for s, m in zip(senders, mb[o:o + len(senders)]) if m is not None]
+                sent = [s for s, m in zip(senders, prev[o:o + len(senders)]) if m is not None]
                 metrics.inbound_wire_by_agent[a].append(sum(
                     1 for s in sent if s < 0 or self.partition_of[s] != home))
                 metrics.inbound_total_by_agent[a].append(len(sent))
@@ -440,16 +428,16 @@ class Engine:
         state = SimulationState(superstep=rounds, agent_values={a: values[a] for a in range(n)})
         return state, metrics
 
-    def _fold_aggregates(self, outs: list, mail: list) -> int:
+    def _fold_aggregates(self, outs: list) -> int:
         """Write each aggregator's fold of its senders' messages in ``outs``
-        into its slot of ``mail``, None when none sent; returns the number
+        into its slot of ``outs``, None when none sent; returns the number
         of partials shipped."""
         shipped = 0
         for agg, slot in zip(self.aggregators, self.aggregator_slots):
             c = self.contract_of[agg.target_agent]
             batch = [outs[s] for s in agg.senders if outs[s] is not None]
             out = c.partial_compute(batch) if batch else None
-            mail[slot] = out
+            outs[slot] = out
             if out is not None:
                 shipped += 1
         return shipped

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import os
 import re
@@ -15,6 +16,7 @@ from fuseforge.bench import (
     COLUMNS,
     MetricsRow,
     RunConfig,
+    _config_from,
     append_rows,
     main,
     run,
@@ -162,6 +164,49 @@ def test_thread_settings_rejected(tmp_path, argv, config):
     assert exit_code([*argv, "--config", str(cfg), "--workload", "gol", "--agents", "16",
                       "--rounds", "1", "--repetitions", "1",
                       "--out", str(tmp_path / "out.csv")]) == 2
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    (["run"], "agents=ten\n", "'agents': 'ten'"),
+    (["run"], "erm_p=abc\n", "'erm_p': 'abc'"),
+    (["sweep", "--axis", "agents", "--values", "16,x"], "", "--values: 'x'"),
+], ids=["int-key", "float-key", "sweep-values"])
+def test_malformed_numbers_rejected(tmp_path, capsys, argv, config, named):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    assert exit_code([*argv, "--config", str(cfg), "--workload", "gol", "--rounds", "1",
+                      "--repetitions", "1", "--out", str(tmp_path / "out.csv")]) == 2
+    assert named in capsys.readouterr().err
+
+
+def config_file(tmp_path, text: str) -> RunConfig:
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return _config_from(argparse.Namespace(config=str(cfg)))
+
+
+@pytest.mark.parametrize("text, want", [
+    ("1", True), ("true", True), ("YES", True), ("0", False), ("False", False), ("no", False),
+])
+def test_boolean_config_values(tmp_path, text, want):
+    assert config_file(tmp_path, f"pagerank_tolerance={text}\n").pagerank_tolerance is want
+
+
+@pytest.mark.parametrize("text", ["ture", "", "2", "on"])
+def test_boolean_config_typo_rejected(tmp_path, text):
+    with pytest.raises(UsageError, match="pagerank_tolerance"):
+        config_file(tmp_path, f"pagerank_tolerance={text}\n")
+
+
+def test_agents_column_counts_the_agents_that_ran(tmp_path):
+    """gol at 1000 agents runs a 32x31 torus; a loaded graph sets its own size."""
+    row = run(small_config(agents=1000, partitions=1, rounds=1))
+    assert row.agents == 992
+    assert row.as_csv().split(",")[COLUMNS.index("agents")] == "992"
+    saved = tmp_path / "graph.edges"
+    save_graph(erm(60, 0.2, 7), str(saved))
+    row = run(small_config(workload="pagerank", partitions=3, rounds=1, load_graph=str(saved)))
+    assert row.as_csv().split(",")[COLUMNS.index("agents")] == "60"
 
 
 def test_cli_entrypoint_oracle_reduce(tmp_path):

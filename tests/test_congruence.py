@@ -15,8 +15,11 @@ import pytest
 from fuseforge.pi import (
     NIL,
     Choice,
+    FunctionApply,
+    InputPrefix,
     OutputPrefix,
     Parallel,
+    ProcessId,
     Replication,
     Restriction,
     bang,
@@ -145,6 +148,54 @@ def test_reduction_closed_under_congruence():
         assert succ_p == succ_q
         checked += 1
     assert checked == 80
+
+
+def fresh_for(binder):
+    """Assert ``binder`` is a fresh name minted for the bound name y."""
+    assert binder != y and binder.text == "y" and binder.fresh_id is not None
+    return binder
+
+
+@pytest.mark.parametrize("site", ["input", "restriction", "function"])
+def test_substitute_renames_a_capturing_binder(site):
+    """Substituting y for x under a binder of y renames the binder to a fresh
+    name, so the substituted y stays free and the bound one stays bound."""
+    if site == "input":
+        q = substitute(inp(c, (y, b), out(x, (y, b))), {x: y})
+        assert isinstance(q, InputPrefix) and q.channel == c and q.binders[1] == b
+        assert q.continuation is out(y, (fresh_for(q.binders[0]), b))
+    elif site == "restriction":
+        q = substitute(Restriction(y, out(x, y)), {x: y})
+        assert isinstance(q, Restriction)
+        assert q.body is out(y, fresh_for(q.name))
+    else:
+        q = substitute(FunctionApply("inc", (x,), y, out(x, y)), {x: y})
+        assert isinstance(q, FunctionApply) and q.fn == "inc" and q.args == (y,)
+        assert q.continuation is out(y, fresh_for(q.result))
+
+
+@pytest.mark.parametrize("term", [
+    inp(c, x, out(x, a)),
+    Restriction(x, out(x, a)),
+    FunctionApply("inc", (a,), x, out(x, a)),
+], ids=["input", "restriction", "function"])
+def test_substitute_under_a_shadowing_binder_returns_the_term(term):
+    """A binder of the substituted name shadows it: nothing below changes."""
+    assert substitute(term, {x: b}) is term
+
+
+def test_rename_canonical_numbers_binders_in_pre_order():
+    """Binder sites become %0, %1, ... in pre-order, left before right; a
+    binder whose scope holds a process identifier keeps its name and takes
+    no number."""
+    p = par(Restriction(a, inp(a, (x, y), out(x, y))),
+            Restriction(b, par(ProcessId("P"), out(b, lit(1)))),
+            FunctionApply("inc", (lit(1),), c, out(c, c)))
+    k = [name(f"%{i}") for i in range(4)]
+    assert congruence._rename_canonical(p) is par(
+        Restriction(k[0], inp(k[0], (k[1], k[2]), out(k[1], k[2]))),
+        Restriction(b, par(ProcessId("P"), out(b, lit(1)))),
+        FunctionApply("inc", (lit(1),), k[3], out(k[3], k[3])))
 
 
 def test_canonical_ordering_is_stable_across_runs():

@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
 
 from .errors import FuseForgeError, ResourceLimitError, UsageError
 from .graphgen import (
@@ -118,6 +119,7 @@ COLUMNS = [
 class MetricsRow:
     config: RunConfig
     agents: int  # the agents that ran, which the requested count need not be
+    partitions: int  # the partitions that ran, which the requested count need not be
     mean_time_per_round_ms: float | None
     total_rounds: int
     logical_messages_per_round: float
@@ -136,7 +138,7 @@ class MetricsRow:
                 return ""
             return f"{x:.6g}"
         cells = [
-            c.workload, str(self.agents), str(c.partitions), c.partitioner, c.mode,
+            c.workload, str(self.agents), str(self.partitions), c.partitioner, c.mode,
             str(c.resolved_rounds()), str(c.seed),
             num(self.mean_time_per_round_ms), str(self.total_rounds),
             num(self.logical_messages_per_round), num(self.wire_messages_per_round),
@@ -230,6 +232,7 @@ def run(config: RunConfig) -> MetricsRow:
     return MetricsRow(
         config=config,
         agents=wl.graph.vertex_count,
+        partitions=len(parts),
         mean_time_per_round_ms=mean_ms,
         total_rounds=rounds,
         logical_messages_per_round=logical,
@@ -267,17 +270,25 @@ def sweep(base: RunConfig, axis: str, values: list[int], out_path: str) -> list[
 # CLI -----------------------------------------------------------------------------
 
 
+def _read(path: str, what: str) -> str:
+    """The text of the file at ``path``; a UsageError naming ``what`` and
+    the path when it cannot be read."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} {path!r}: {exc.strerror}") from None
+
+
 def _load_config_file(path: str) -> dict[str, str]:
     values = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}: expected key=value, got {line!r}")
-            k, v = line.split("=", 1)
-            values[k.strip()] = v.strip()
+    for line in _read(path, "config file").splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}: expected key=value, got {line!r}")
+        k, v = line.split("=", 1)
+        values[k.strip()] = v.strip()
     return values
 
 
@@ -391,7 +402,7 @@ def _oracle_reduce(args: argparse.Namespace) -> int:
     from .pi import final_values, initial_state, reduce_all
     from .pi.parse import BUILTIN_COMPUTES, parse_process
 
-    text = sys.stdin.read() if args.file == "-" else open(args.file).read()
+    text = sys.stdin.read() if args.file == "-" else _read(args.file, "process file")
     process, defs = parse_process(text)
     state = initial_state(process, defs=defs, computes=dict(BUILTIN_COMPUTES))
     try:

@@ -337,17 +337,17 @@ def default_pipeline(
     given, receives each pass name and the seconds that pass took.
     """
     validate_options(options)
-    plans = [initial_plan(part, eqs) for part in partitions]
 
     def done(name: str, t0: float) -> None:
         if on_pass is not None:
             on_pass(name, time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    refined_by_pid = {
-        part.id: refine_communication(part, eqs, static_marks) for part in partitions
-    }
-    plans = [apply_refinement(p, refined_by_pid[p.partition.id]) for p in plans]
+    plans = [
+        PartitionPlan(part, {a: AgentPlan(eqs[a], rn) for a, rn
+                             in refine_communication(part, eqs, static_marks).items()})
+        for part in partitions
+    ]
     done("refine", t0)
     if "pushdown" in options:
         # replacement analysis runs before cache synthesis so replaced senders

@@ -2,76 +2,76 @@
 
 Execution follows the synchronous BSP contract: messages sent in superstep t
 are readable only in t+1.  Every message of the previous round lives in one
-flat message array: entry a < n is agent a's out-message, and entries n and
-up are mail slots.  A staged read, and a cache slot the receiver reads
+flat message array: entry a < n is agent a's out-message, and entry n + k is
+aggregator k's partial.  A staged read, and a cache slot the receiver reads
 without the remote pass, is the id of its source agent: a cache slot holds
 exactly its source's message, so it aliases that entry, and caches remain
 only the wire-unit model.  Agents write the next round's array, which swaps
 with the previous one at the barrier; agent values are updated in place,
 since no agent reads another's value directly.
 
-Mail: every mail edge (a sender the receiver reaches by mail rather than by
-a read, or an aggregator folding into its target) owns one fixed slot of
-the array, and each receiver's slots are contiguous.  A sender writes its
-out-message into each of its slots every round, None included, so a slot
-always holds the last round's value; a receiver reads its range as one
-slice and drops the Nones.  Slots are disjoint, so partitions write them
-without outboxes, and the barrier only folds aggregator partials into their
-slots.  The array is seeded with each agent's initial-value message, in its
-own entry and in its slots, so staged reads at superstep 0 match
-message-passing mode exactly.
+Mail: a mail edge (a sender the receiver reaches by mail rather than by a
+read) owns no storage either.  The message it carries is its sender's entry,
+None included, which is exactly what a per-edge copy written every round
+would hold, so each receiver gathers its mail from its senders' entries, and
+from its aggregators' partials, through one ``operator.itemgetter`` built at
+compile time.  A sender only counts its mail for the traffic metrics, from
+its mail-edge count and how many of those edges cross partitions.  The
+barrier folds the aggregator partials into their entries and then checks
+the whole array for None once, in C: in a round whose array holds none, the
+kernels do not scan their gathered lists for None.  The array is seeded with
+each agent's initial-value message and the partials folded from them, so
+staged reads and mail at superstep 0 match message-passing mode exactly.
 
-Mail order: a slot's place in its receiver's range is the order the
-receiver folds it in, the same in every round: superstep 0's seeded mail
-reaches a commutative fold in arrival order too, not by sender.  An
-order-sensitive contract folds in ascending sender order; a receiver of
-such a contract that also has reads folds through one ascending-sender
-tuple of array indices, agents' entries and slots, built at compile time.
-A commutative contract, and any contract that declares ``fold="add"`` (int
-addition is exact in any order), folds its reads, then its mail in arrival
-order: the senders of its own partition in execution order, then each other
-partition's senders in partition order, each in execution order, then the
-aggregator partials in aggregator order (aggregation pushdown only targets
-commutative folds).  That is the order a message-passing runtime that
-delivers local mail as it is sent and fans out each partition's
-cross-partition mail at the barrier would give.  Since the order is fixed
-in the layout, and an agent writes only its own value, array entry and
-slots, which nothing reads before the barrier, a partition's agents run
-grouped in any order.
+Mail order: a receiver's gather lists its sources in the order it folds
+them, the same in every round, superstep 0 included.  An order-sensitive
+contract folds in ascending sender order; a receiver of such a contract
+that also has reads gathers reads and mail through one ascending-sender
+getter.  A commutative contract, and any contract that declares
+``fold="add"`` (int addition is exact in any order), folds its reads, then
+its mail in arrival order: the senders of its own partition in execution
+order, then each other partition's senders in partition order, each in
+execution order, then the aggregator partials in aggregator order
+(aggregation pushdown only targets commutative folds).  That is the order a
+message-passing runtime that delivers local mail as it is sent and fans out
+each partition's cross-partition mail at the barrier would give.  Since the
+order is fixed at compile time, and an agent writes only its own value and
+array entry, which nothing reads before the barrier, a partition's agents
+run grouped in any order.
 
 Kernels: the engine does not interpret plans per agent.  At compile time it
 groups each partition's agents by (contract, read arity, mail shape), the
 mail shape saying whether the agent receives mail and whether it sends mail,
 and runs each group with one generated Python function over a constant
 table.  A row of the table is ``(a, i0, .., ik)``: the agent and the array
-indices of its reads, in ascending source order, followed by its slot range
-``o, e`` when it receives mail and by its slots and cross-partition slot
-count when it sends mail.  The kernel's loop is ``f = fold(prev[i0], ..,
-prev[ik]); s = update(values[a], f); values[a] = s; nxt[a] =
-state_to_message(s)``.  A contract that declares ``fold="add"`` folds with
-an inline ``+`` expression, falling back to ``partial_compute`` over the
-messages actually sent when one of them is None; every other contract calls
-``partial_compute`` on a list literal.  Generated code depends only on the
-group's shape, so groups of one shape share one code object, compiled once
-per process.  A key whose read arity exceeds the number of agents sharing
-it (a hub) keeps each row's reads as one tuple instead of unpacking them,
-so the generated code stays linear in the number of agents; so does an
-order-sensitive fold of reads and mail, whose tuple is its merged list.
+indices of its reads, in ascending source order, followed by its gather
+``g`` when it receives mail and by its mail-edge and cross-partition edge
+counts when it sends mail.  The kernel's loop is ``f = fold(prev[i0], ..,
+prev[ik], *g(prev)); s = update(values[a], f); values[a] = s; nxt[a] =
+state_to_message(s)``.  A contract that declares ``fold="add"`` folds its
+reads with an inline ``+`` expression, falling back to ``partial_compute``
+over the messages actually sent when one of them is None, and adds the
+``sum`` of its mail; every other contract calls ``partial_compute`` on one
+list.  Generated code depends only on the group's shape, so groups of one
+shape share one code object, compiled once per process.  A key whose read
+arity exceeds the number of agents sharing it (a hub) keeps each row's
+reads as one tuple instead of unpacking them, so the generated code stays
+linear in the number of agents; an order-sensitive fold of reads and mail
+has read arity 0, since its getter holds both.
 
 Determinism: every fold consumes its inputs in an order fixed at compile
 time, per-agent RNG streams live inside agent values, and each partition
-writes only its own agents' entries and its senders' slots, so the final
-state is bit-identical for any merged-order permutation.
+writes only its own agents' entries, so the final state is bit-identical
+for any merged-order permutation.
 """
 
 from __future__ import annotations
 
 import time
-from array import array
-from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 
 from .equations import ComputeMethodContract
 from .errors import CoverageError, UnsupportedThreadsError
@@ -119,12 +119,23 @@ def _add_tree(terms: list[str]) -> str:
     return f"({_add_tree(terms[:mid])} + {_add_tree(terms[mid:])})"
 
 
+def _gather(indices: list[int]) -> itemgetter:
+    """A getter of the array's entries at ``indices`` that returns a
+    sequence even for one index, where ``itemgetter(i)`` returns the entry."""
+    if len(indices) == 1:
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(*indices)
+
+
 def _kernel_source(arity: int | None, add: bool, mail: bool, sends: bool) -> str:
     """Python source of the kernel for one group shape.
 
     ``arity`` None means each row holds its reads as one tuple ``I``.
-    ``mail`` means each row also has a slot range ``o, e``, folded after the
-    reads in slot order.
+    ``mail`` means each row also has a gather ``g``, whose messages
+    ``g(prev)`` are folded after the reads in gather order; the kernel scans
+    them for None unless ``clean`` says the array holds none.  ``sends``
+    means each row also has its mail-edge count ``k`` and the count ``x`` of
+    those edges that cross partitions.
     """
     if arity is None:
         row = ["a", "I"]
@@ -134,9 +145,9 @@ def _kernel_source(arity: int | None, add: bool, mail: bool, sends: bool) -> str
         row = ["a", *idx]
         listed = "[" + ", ".join(f"prev[{i}]" for i in idx) + "]"
     if mail:
-        row += ["o", "e"]
+        row.append("g")
     if sends:
-        row += ["J", "x"]
+        row += ["k", "x"]
 
     # the fold of the reads alone, into f
     if arity == 0:
@@ -152,35 +163,33 @@ def _kernel_source(arity: int | None, add: bool, mail: bool, sends: bool) -> str
         fold = [f"ms = {listed}",
                 "f = pc(ms) if None not in ms else _present(ms, pc)"]
 
-    present = ["if None in ms:",
+    present = ["if not clean and None in ms:",
                "    ms = [m for m in ms if m is not None]"]
     if not mail:
         body = fold
     elif add:
         # int addition is exact, so mail joins the sum in any order
         body = [*fold,
-                "ms = prev[o:e]",
+                "ms = g(prev)",
                 *present,
                 "if ms:",
                 "    t = sum(ms)",
                 "    f = t if f is None else f + t"]
     else:
-        gather = "ms = prev[o:e]" if arity == 0 else f"ms = {listed} + prev[o:e]"
-        body = [gather, *present, "f = pc(ms) if ms else None"]
+        gather = ["ms = g(prev)"] if arity == 0 else [f"ms = {listed}", "ms += g(prev)"]
+        body = [*gather, *present, "f = pc(ms) if ms else None"]
 
     body += ["s = up(values[a], f)", "values[a] = s"]
     if sends:
         body += ["out = sm(s)",
                  "nxt[a] = out",
-                 "for j in J:",
-                 "    nxt[j] = out",
                  "if out is not None:",
-                 "    logical += len(J)",
+                 "    logical += k",
                  "    crossed += x"]
     else:
         body += ["nxt[a] = sm(s)"]
 
-    lines = ["def kernel(T, prev, nxt, values, counter, pc, up, sm):"]
+    lines = ["def kernel(T, prev, nxt, values, counter, pc, up, sm, clean):"]
     if sends:
         lines.append("    logical = crossed = 0")
     lines.append(f"    for {', '.join(row)}{',' if len(row) == 1 else ''} in T:")
@@ -207,10 +216,11 @@ class Engine:
     ``(kernel, table, partial_compute, update_state, state_to_message)``.
     One step covers the partition's agents of one contract, read arity and
     mail shape.  Every agent the partition runs is in exactly one row of one
-    table.  ``slots`` counts the mail slots, entries ``n .. n+slots-1`` of
-    the message array; ``slots_of`` maps each mail sender to the array
-    indices of its slots, and ``aggregator_slots[k]`` is the array index of
-    ``aggregators[k]``'s partial.
+    table.  The message array has ``n + len(aggregators)`` entries:
+    aggregator k's partial is entry ``n + k``.  ``routes`` counts the mail
+    routes, mail edges and aggregator partials; none of them has an entry
+    of its own, since each receiver gathers its mail from the entries of
+    its senders and aggregators.
     """
 
     def __init__(self, workload, plans: list[PartitionPlan], track_inbound: tuple[int, ...] = ()):
@@ -241,36 +251,32 @@ class Engine:
         for k, a in enumerate(a for order in orders for a in order):
             seq[a] = k
         self.aggregators = [agg for plan in plans for agg in plan.aggregators]
-        aggs_of: defaultdict[int, list[int]] = defaultdict(list)  # by target
-        for k, agg in enumerate(self.aggregators):
+        aggs_of: defaultdict[int, list[int]] = defaultdict(list)  # by target: array indices
+        for k, agg in enumerate(self.aggregators, n):
             aggs_of[agg.target_agent].append(k)
-        self.aggregator_slots = [0] * len(self.aggregators)
 
         # per reader: the sources it reads from the array, ascending, and its
         # mail sources: whatever no staged read or cache slot covers, plus
         # the aggregators folding into it (aggregation pushdown has already
-        # dropped the senders they fold), laid out as its slots [o, e) in
-        # the order it folds them
+        # dropped the senders they fold), gathered in the order it folds them
         self.contract_of: list[ComputeMethodContract] = [None] * n  # type: ignore
         compute_of: list[str] = [""] * n
-        row_of: list[tuple] = [()] * n  # (agent, *its reads[, o, e]) or (agent, merged)
+        row_of: list[tuple] = [()] * n  # (agent, *its reads[, its gather])
         arity_of = [0] * n
         receives = [False] * n
-        slots_of: list[array | None] = [None] * n  # per sender: its slots, ascending
         # a fold that mail order cannot change: a commutative one, or an
         # inline int addition, which is exact in any order
         arrival = {name: c.pushdown_eligible or c.fold == "add"
                    for name, c in workload.contracts.items()}
         tracked = set(self.track_inbound)
-        # per tracked agent: its first slot and the sender of each of its
-        # slots, an aggregator's synthetic id for a partial
-        self._senders: dict[int, tuple[int, tuple[int, ...]]] = {}
+        # per tracked agent: (sender, array index) per mail route, an
+        # aggregator's synthetic id as the sender of its partial
+        self._senders: dict[int, tuple[tuple[int, int], ...]] = {}
         partition_of = self.partition_of
-        slot = n  # mail slots follow the agents' entries
-        owned = {}  # per partition: the range of slots its agents own
+        mailed: list[int] = []  # the sender of every mail edge
+        crossed: list[int] = []  # the sender of every cross-partition mail edge
         for plan in plans:
             pid = plan.partition.id
-            first = slot
 
             def arrived(s: int) -> int:  # this partition's senders first
                 return seq[s] if partition_of[s] == pid else seq[s] + n
@@ -292,55 +298,37 @@ class Engine:
                         mail.append(src)
                 mail += rn.dynamic
                 gather.sort()
-                arity_of[a] = len(gather)
                 in_arrival = arrival[compute_of[a]]
                 mail.sort(key=arrived if in_arrival else None)
-                o = slot
-                for j, s in enumerate(mail, o):
-                    J = slots_of[s]
-                    if J is None:
-                        J = slots_of[s] = array("l")
-                    J.append(j)
-                slot += len(mail)
-                aggs = aggs_of.get(a, ())
-                for k in aggs:
-                    self.aggregator_slots[k] = slot
-                    slot += 1
-                if slot == o:
-                    row_of[a] = (a, *gather)
-                    continue
-                receives[a] = True
-                if gather and not in_arrival:
-                    # an order-sensitive fold of reads and mail reads both
-                    # through one ascending-sender tuple of array indices
-                    by_sender = sorted([*zip(mail, range(o, slot)), *zip(gather, gather)])
-                    row_of[a] = (a, tuple(i for _, i in by_sender))
-                else:
-                    row_of[a] = (a, *gather, o, slot)
+                mailed += mail
+                crossed += [s for s in mail if partition_of[s] != pid]
+                aggs = aggs_of.get(a, [])
+                sources = mail + aggs
                 if a in tracked:
-                    self._senders[a] = (o, (*mail, *(self.aggregators[k].ref.synthetic_id
-                                                     for k in aggs)))
-            owned[pid] = first, slot
-        self.slots = slot - n
-        self.slots_of = {s: J for s, J in enumerate(slots_of) if J}
-        # per sender: how many of its slots other partitions own
-        crossing = [0] * n
-        for s, J in self.slots_of.items():
-            lo, hi = owned[partition_of[s]]
-            crossing[s] = len(J) - bisect_left(J, hi) + bisect_left(J, lo)
+                    ids = [self.aggregators[k - n].ref.synthetic_id for k in aggs]
+                    self._senders[a] = tuple(zip(mail + ids, sources))
+                if sources:
+                    receives[a] = True
+                    if gather and not in_arrival:
+                        # an order-sensitive fold of reads and mail gathers
+                        # both in ascending sender order
+                        sources, gather = sorted(gather + sources), []
+                    row_of[a] = (a, *gather, _gather(sources))
+                else:
+                    row_of[a] = (a, *gather)
+                arity_of[a] = len(gather)
+        self.routes = len(mailed) + len(self.aggregators)
+        edges, crossing = Counter(mailed), Counter(crossed)
+        self._scans = any(receives)  # some kernel scans a gathered list for None
 
         # one shared tuple per distinct key: n live key tuples would add work
         # for the cyclic collector during set-up
         interned: dict[tuple, tuple] = {}
         key_of = [interned.setdefault(key, key) for key in zip(
-            compute_of, arity_of, receives, (a in self.slots_of for a in range(n)))]
+            compute_of, arity_of, receives, (a in edges for a in range(n)))]
         shape_of = {}  # per key: its kernel shape, and whether rows pack their reads
         for key, count in Counter(key_of).items():
             compute, arity, receiving, sending = key
-            if receiving and arity and not arrival[compute]:
-                # rows already hold their merged reads and mail as one tuple
-                shape_of[key] = (None, False, False, sending), False
-                continue
             # a key with more reads than agents keeps each row's reads as one tuple
             pack = arity > count
             shape_of[key] = (None if pack else arity, workload.contracts[compute].fold == "add",
@@ -356,7 +344,7 @@ class Engine:
                     k = key[1] + 1
                     row = (a, row[1:k], *row[k:])
                 if key[3]:
-                    row += (self.slots_of[a], crossing[a])
+                    row += (edges[a], crossing[a])
                 groups.setdefault(key, []).append(row)
             program = []
             for key, rows in groups.items():
@@ -384,25 +372,23 @@ class Engine:
 
         values: list = [wl.initial_values[a] for a in range(n)]
         # superstep-0 seeding: initial-value sends arrive at round 0
-        prev: list = [None] * (n + self.slots)
-        for a, c in enumerate(self.contract_of):
-            prev[a] = c.state_to_message(values[a])
-        for s, slots in self.slots_of.items():
-            out = prev[s]
-            for j in slots:
-                prev[j] = out
+        prev: list = [c.state_to_message(v) for c, v in zip(self.contract_of, values)]
+        prev += [None] * len(self.aggregators)
         self._fold_aggregates(prev)
         nxt: list = [None] * len(prev)
+        clean = self._scans and None not in prev
 
         steps = [step for program in self.programs for step in program]
         for _ in range(rounds):
             t0 = time.perf_counter()
             counter = [0, 0]  # logical, cross-partition
             for kernel, table, pc, up, sm in steps:
-                kernel(table, prev, nxt, values, counter, pc, up, sm)
+                kernel(table, prev, nxt, values, counter, pc, up, sm, clean)
 
-            # barrier: aggregator partials into their slots
+            # barrier: aggregator partials into their entries; an array
+            # without None spares the next round's kernels their None scans
             folded = self._fold_aggregates(nxt)
+            clean = self._scans and None not in nxt
 
             # one wire unit per directed cache per round, plus one per
             # dynamic/aggregated cross-partition message
@@ -419,8 +405,7 @@ class Engine:
             metrics.header_units_per_round.append(header)
             for a in self.track_inbound:
                 home = self.partition_of[a]
-                o, senders = self._senders.get(a, (0, ()))
-                sent = [s for s, m in zip(senders, prev[o:o + len(senders)]) if m is not None]
+                sent = [s for s, i in self._senders[a] if prev[i] is not None]
                 metrics.inbound_wire_by_agent[a].append(sum(
                     1 for s in sent if s < 0 or self.partition_of[s] != home))
                 metrics.inbound_total_by_agent[a].append(len(sent))
@@ -430,14 +415,14 @@ class Engine:
 
     def _fold_aggregates(self, outs: list) -> int:
         """Write each aggregator's fold of its senders' messages in ``outs``
-        into its slot of ``outs``, None when none sent; returns the number
+        into its entry of ``outs``, None when none sent; returns the number
         of partials shipped."""
         shipped = 0
-        for agg, slot in zip(self.aggregators, self.aggregator_slots):
+        for k, agg in enumerate(self.aggregators, self.n):
             c = self.contract_of[agg.target_agent]
             batch = [outs[s] for s in agg.senders if outs[s] is not None]
             out = c.partial_compute(batch) if batch else None
-            outs[slot] = out
+            outs[k] = out
             if out is not None:
                 shipped += 1
         return shipped

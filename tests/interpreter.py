@@ -1,6 +1,6 @@
 """Test-only reference executor: the per-agent interpreted loop over
-``(sender, payload)`` mailbox lists that the engine's generated kernels and
-slot-addressed mail replaced.
+``(sender, payload)`` mailbox lists that the engine's generated kernels,
+which gather mail from the message array, replaced.
 
 ``Interpreter(workload, plans, track_inbound)`` resolves each agent's
 buffer reads and mail routes from the plans on its own, apart from the

@@ -209,6 +209,26 @@ def test_agents_column_counts_the_agents_that_ran(tmp_path):
     assert row.as_csv().split(",")[COLUMNS.index("agents")] == "60"
 
 
+@pytest.mark.parametrize("requested, ran", [(7, 6), (40, 16)])
+def test_partitions_column_counts_the_partitions_that_ran(requested, ran):
+    """Greedy partitioning of a 4x4 torus into parts of ceil(16 / requested)
+    agents: 7 requested make 6 parts of 3, 3, 3, 3, 3 and 1; 40 make one
+    part per agent."""
+    row = run(small_config(agents=16, partitions=requested, rounds=1))
+    assert row.partitions == ran
+    assert row.as_csv().split(",")[COLUMNS.index("partitions")] == str(ran)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--workload", "gol", "--rounds", "1", "--config"],
+    ["oracle", "reduce"],
+], ids=["config-file", "process-file"])
+def test_missing_input_file_is_a_usage_error(tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing.txt")
+    assert exit_code([*argv, missing]) == 2
+    assert missing in capsys.readouterr().err
+
+
 def test_cli_entrypoint_oracle_reduce(tmp_path):
     source = tmp_path / "proc.pi"
     source.write_text(

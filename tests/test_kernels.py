@@ -1,13 +1,14 @@
-"""Generated partition kernels and slot-addressed mail against the
-interpreted per-agent loop over mailbox lists they replaced
-(``interpreter.py``): the same final state and the same per-round logical,
-wire, header and tracked-inbound counts on every valid pass subset and
-partitioner of the differential suite.
+"""Generated partition kernels, which gather each receiver's mail from its
+senders' entries of the message array, against the interpreted per-agent
+loop over mailbox lists they replaced (``interpreter.py``): the same final
+state and the same per-round logical, wire, header and tracked-inbound
+counts on every valid pass subset and partitioner of the differential
+suite.
 
 The matrix reaches every kernel variant: ``unopt`` runs every agent at read
 arity 0 with mail in and out; PageRank sends None and folds floats in
 ascending sender order; tolerance-mode PageRank folds floats in mail arrival
-order, so a slot layout out of arrival order would change its sums; the
+order, so a gather out of arrival order would change its sums; the
 declared ``add`` folds of gol, epidemics and economics run inline, with and
 without mail; economics' market reads more sources than there are agents of
 its shape, so its rows keep their reads as one tuple.

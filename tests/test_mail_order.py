@@ -1,7 +1,10 @@
 """The order in which a receiver folds its mail, on small hand-built
 workloads whose folds depend on that order: the engine must give the
 hand-computed values and agree with the mailbox-list interpreter
-(``interpreter.py``) in every round, superstep 0's seeded mail included."""
+(``interpreter.py``) in every round, superstep 0's seeded mail included.
+The shapes of a gather are covered too: a single mail source, a hub that
+keeps its reads as one tuple next to its mail, and a round whose array
+holds a None after rounds that held none."""
 
 from __future__ import annotations
 
@@ -37,11 +40,14 @@ def constant(payload) -> tuple:
 
 def hand_built(receiver_fold, payloads: dict[int, tuple], assignment: list[int],
                dynamic: set[int] = frozenset(), commutative: bool = False,
-               pushdown: bool = False, add: bool = False) -> Workload:
+               pushdown: bool = False, add: bool = False,
+               receiver_sends: bool = False) -> Workload:
     """Agent 0 reads every other agent and keeps the history of its folds;
     agent k reads nothing and sends ``payloads[k][t]`` in superstep t, so
     agent 0 folds the t-th payloads in round t.  References in ``dynamic``
-    are unmarked; ``add`` declares agent 0's fold an int ``fold="add"``."""
+    are unmarked; ``add`` declares agent 0's fold an int ``fold="add"``.
+    Agent 0 sends None unless ``receiver_sends``, which makes it send the
+    number of its folds so far."""
     n = len(assignment)
     senders = range(1, n)
     refs = tuple(StateRef(s) for s in senders)
@@ -50,7 +56,8 @@ def hand_built(receiver_fold, payloads: dict[int, tuple], assignment: list[int],
     contracts = {
         "fold": ComputeMethodContract(
             "fold", "record:tuple", "int64" if add else "any", "any",
-            state_to_message=lambda s: None, partial_compute=receiver_fold,
+            state_to_message=len if receiver_sends else lambda s: None,
+            partial_compute=receiver_fold,
             update_state=lambda s, f: (*s, f), associative=commutative,
             commutative=commutative, fold="add" if add else None),
         "send": ComputeMethodContract(
@@ -120,7 +127,7 @@ def test_order_sensitive_fold_merges_reads_and_mail_by_sender(mode):
     wl = hand_built(_digits, payloads, assignment, dynamic={2, 4, 5})
     engine, state, metrics = run_both(wl, assignment, MODE_PASSES[mode])
     assert state.agent_values[0] == (12345, 12345, 1235)
-    assert engine.slots == (5 if mode == "unopt" else 3)
+    assert engine.routes == (5 if mode == "unopt" else 3)
     mailed = 5 if mode == "unopt" else 3
     assert metrics.inbound_total_by_agent[0] == [mailed, mailed - 1, mailed]
 
@@ -139,4 +146,64 @@ def test_add_fold_without_order_flags_counts_reads_and_mail_once(mode):
     assert not wl.contracts["fold"].pushdown_eligible
     engine, state, _ = run_both(wl, assignment, MODE_PASSES[mode])
     assert state.agent_values[0] == (54321, 54320, 50321)
-    assert engine.slots == (5 if mode == "unopt" else 3)
+    assert engine.routes == (5 if mode == "unopt" else 3)
+
+
+# fold kinds: (partial_compute, hand_built flags)
+FOLDS = {
+    "order-sensitive": (_digits, {}),
+    "commutative-float": (_float_sum, {"commutative": True}),
+    "add": (sum, {"add": True}),
+}
+
+
+@pytest.mark.parametrize("fold", sorted(FOLDS))
+@pytest.mark.parametrize("mode", ["unopt", "+local"])
+def test_single_mail_source_gathers_a_sequence(fold, mode):
+    """Under ``unopt`` agent 0's one sender, the cross-partition 1, reaches
+    it by mail.  Under ``+local`` agent 0 reads 1 from the buffer and gets
+    the cross-partition 2 by mail, so an arrival-order fold gathers one
+    mail source next to its read."""
+    pc, flags = FOLDS[fold]
+    if mode == "unopt":
+        payloads, assignment, want = {1: constant(7)}, [0, 1], 7
+    else:
+        payloads, assignment = {1: constant(1), 2: constant(2)}, [0, 0, 1]
+        want = 12 if fold == "order-sensitive" else 3
+    wl = hand_built(pc, payloads, assignment, dynamic={2}, receiver_sends=True, **flags)
+    _, state, _ = run_both(wl, assignment, MODE_PASSES[mode])
+    assert state.agent_values[0] == (want,) * ROUNDS
+
+
+@pytest.mark.parametrize("mode", ["+local", "full"])
+def test_packed_hub_folds_reads_then_mail(mode):
+    """Agent 0 is the only agent of its shape and reads two sources, so its
+    row keeps the reads 1 and 3 as one tuple; it gets 2 and the
+    cross-partition 4 by mail and folds reads, then mail in arrival order:
+    ((1e16 + 1.0) + -1e16) + 1.0, where ascending senders would give 2.0."""
+    payloads = {1: constant(1e16), 2: constant(-1e16), 3: constant(1.0), 4: constant(1.0)}
+    assignment = [0, 0, 0, 0, 1]
+    wl = hand_built(_float_sum, payloads, assignment, dynamic={2, 4}, commutative=True)
+    engine, state, _ = run_both(wl, assignment, MODE_PASSES[mode])
+    assert state.agent_values[0] == (1.0,) * ROUNDS
+    [hub] = [row for program in engine.programs for _, table, *_ in program
+             for row in table if row[0] == 0]
+    assert hub[1] == (1, 3)
+
+
+@pytest.mark.parametrize("fold", sorted(FOLDS))
+@pytest.mark.parametrize("mode", ["unopt", "+local"])
+def test_none_after_rounds_without_one(fold, mode):
+    """Every agent, agent 0 included, sends in supersteps 0 and 1, so those
+    rounds' arrays hold no None; mail sender 2 then sends None in superstep
+    2 only, and round 2 must drop it from agent 0's fold."""
+    pc, flags = FOLDS[fold]
+    payloads = {1: constant(1), 2: (2, 2, None, 2), 3: constant(3)}
+    assignment = [0, 0, 1, 0]
+    wl = hand_built(pc, payloads, assignment, dynamic={2}, receiver_sends=True, **flags)
+    _, state, metrics = run_both(wl, assignment, MODE_PASSES[mode])
+    want = (123, 123, 13) if fold == "order-sensitive" else (6, 6, 4)
+    assert state.agent_values[0] == want
+    # counted after each round, from the messages the next round folds
+    mailed = 3 if mode == "unopt" else 1
+    assert metrics.inbound_total_by_agent[0] == [mailed, mailed - 1, mailed]

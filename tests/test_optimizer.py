@@ -346,7 +346,7 @@ def test_every_ablation_mode_gives_identical_gol_states():
 
 def test_rewritten_program_reads_only_local_state():
     """With every reference static, each mode that stages local reads leaves
-    the compiled program no mail slot: no logical messages, and one wire
+    the compiled program no mail route: no logical messages, and one wire
     unit per directed cache per round."""
     wl = build_gol(12, 12, seed=5)
     parts = partition_greedy(wl.graph, 36, seed=5)
@@ -355,7 +355,7 @@ def test_rewritten_program_reads_only_local_state():
         plans = default_pipeline(parts, wl.equations, wl.static_marks, MODE_PASSES[mode],
                                  contracts=wl.contracts)
         engine = Engine(wl, plans)
-        assert engine.slots == 0, mode
+        assert engine.routes == 0, mode
         _, metrics = engine.run(rounds)
         assert metrics.logical_messages_per_round == [0] * rounds, mode
         assert metrics.wire_units_per_round == [engine.cache_count] * rounds, mode

@@ -5,6 +5,13 @@ adjacency and per-agent streams are part of the reproducibility contract, so
 we pin the exact algorithm here.  Per-agent streams are derived from
 ``(global_seed, agent_id)`` only; partition identity never enters the
 derivation.
+
+A draw is one Python call: ``next_u64`` and ``next_float`` advance the state
+and apply the output mix inline, with ``MASK64`` and the golden-ratio step
+written as literals.  Every stochastic agent draws once per superstep, and
+the inlining took ``next_float`` from 0.89 to 0.61 us (timeit, CPython 3.11)
+against calling ``next_u64`` and ``mix64``.  The tests pin both functions,
+and ``next_below``, against that composition over ``mix64``.
 """
 
 from __future__ import annotations
@@ -28,14 +35,18 @@ def derive_stream(seed: int, stream_id: int) -> int:
 
 def next_u64(state: int) -> tuple[int, int]:
     """Advance the state; returns (new_state, output)."""
-    state = (state + _GOLDEN) & MASK64
-    return state, mix64(state)
+    state = (state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    return state, z ^ (z >> 31)
 
 
 def next_float(state: int) -> tuple[int, float]:
     """Advance the state; returns (new_state, uniform float in [0, 1))."""
-    state, out = next_u64(state)
-    return state, (out >> 11) * (1.0 / (1 << 53))
+    state = (state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    return state, ((z ^ (z >> 31)) >> 11) * (1.0 / (1 << 53))
 
 
 def next_below(state: int, bound: int) -> tuple[int, int]:

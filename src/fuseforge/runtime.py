@@ -17,11 +17,14 @@ would hold, so each receiver gathers its mail from its senders' entries, and
 from its aggregators' partials, through one ``operator.itemgetter`` built at
 compile time.  A sender only counts its mail for the traffic metrics, from
 its mail-edge count and how many of those edges cross partitions.  The
-barrier folds the aggregator partials into their entries and then checks
-the whole array for None once, in C: in a round whose array holds none, the
-kernels do not scan their gathered lists for None.  The array is seeded with
-each agent's initial-value message and the partials folded from them, so
-staged reads and mail at superstep 0 match message-passing mode exactly.
+barrier folds the aggregator partials into their entries and then, where
+the mail routes number at least the array's entries, checks the whole array
+for None once, in C: in a round whose array holds none, the kernels do not
+scan their gathered lists for None.  With fewer routes the kernels' own
+scans cost less than the barrier's, so they always scan.  The array is
+seeded with each agent's initial-value message and the partials folded from
+them, so staged reads and mail at superstep 0 match message-passing mode
+exactly.
 
 Mail order: a receiver's gather lists its sources in the order it folds
 them, the same in every round, superstep 0 included.  An order-sensitive
@@ -319,7 +322,10 @@ class Engine:
                 arity_of[a] = len(gather)
         self.routes = len(mailed) + len(self.aggregators)
         edges, crossing = Counter(mailed), Counter(crossed)
-        self._scans = any(receives)  # some kernel scans a gathered list for None
+        # the barrier's None check scans the whole array to spare the kernels
+        # their scans of gathered mail: it pays only where they gather at
+        # least as many entries as the array holds
+        self._scans = self.routes >= n + len(self.aggregators)
 
         # one shared tuple per distinct key: n live key tuples would add work
         # for the cyclic collector during set-up

@@ -179,6 +179,19 @@ def test_malformed_numbers_rejected(tmp_path, capsys, argv, config, named):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, named", [
+    ("window=0\n", "window=0"),
+    ("jitter=2.5\n", "jitter=2.5"),
+], ids=["window0", "jitter2.5"])
+def test_out_of_range_market_constants_rejected(tmp_path, capsys, config, named):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    assert exit_code(["run", "--config", str(cfg), "--workload", "economics", "--agents", "16",
+                      "--rounds", "1", "--repetitions", "1",
+                      "--out", str(tmp_path / "out.csv")]) == 2
+    assert named in capsys.readouterr().err
+
+
 def config_file(tmp_path, text: str) -> RunConfig:
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)

@@ -4,7 +4,8 @@ hand-computed values and agree with the mailbox-list interpreter
 (``interpreter.py``) in every round, superstep 0's seeded mail included.
 The shapes of a gather are covered too: a single mail source, a hub that
 keeps its reads as one tuple next to its mail, and a round whose array
-holds a None after rounds that held none."""
+holds a None after rounds that held none, with the barrier's None check
+on and off."""
 
 from __future__ import annotations
 
@@ -41,18 +42,20 @@ def constant(payload) -> tuple:
 def hand_built(receiver_fold, payloads: dict[int, tuple], assignment: list[int],
                dynamic: set[int] = frozenset(), commutative: bool = False,
                pushdown: bool = False, add: bool = False,
-               receiver_sends: bool = False) -> Workload:
+               receiver_sends: bool = False, echo: bool = False) -> Workload:
     """Agent 0 reads every other agent and keeps the history of its folds;
     agent k reads nothing and sends ``payloads[k][t]`` in superstep t, so
     agent 0 folds the t-th payloads in round t.  References in ``dynamic``
     are unmarked; ``add`` declares agent 0's fold an int ``fold="add"``.
     Agent 0 sends None unless ``receiver_sends``, which makes it send the
-    number of its folds so far."""
+    number of its folds so far.  With ``echo`` every sender also takes agent
+    0's message by mail and ignores it, which adds mail routes."""
     n = len(assignment)
     senders = range(1, n)
     refs = tuple(StateRef(s) for s in senders)
+    back = (StateRef(0),) if echo else ()
     eqs = {0: BehavioralEquation(StateRef(0), "fold", refs, StateRef(0))}
-    eqs.update({s: BehavioralEquation(StateRef(s), "send", (), StateRef(s)) for s in senders})
+    eqs.update({s: BehavioralEquation(StateRef(s), "send", back, StateRef(s)) for s in senders})
     contracts = {
         "fold": ComputeMethodContract(
             "fold", "record:tuple", "int64" if add else "any", "any",
@@ -191,19 +194,37 @@ def test_packed_hub_folds_reads_then_mail(mode):
     assert hub[1] == (1, 3)
 
 
-@pytest.mark.parametrize("fold", sorted(FOLDS))
-@pytest.mark.parametrize("mode", ["unopt", "+local"])
-def test_none_after_rounds_without_one(fold, mode):
+def none_after_rounds_without_one(fold, mode, echo):
     """Every agent, agent 0 included, sends in supersteps 0 and 1, so those
     rounds' arrays hold no None; mail sender 2 then sends None in superstep
-    2 only, and round 2 must drop it from agent 0's fold."""
+    2 only, and round 2 must drop it from agent 0's fold.  ``echo`` decides
+    whether the mail routes number at least the array's 4 entries, and so
+    whether the barrier checks the array for None."""
     pc, flags = FOLDS[fold]
     payloads = {1: constant(1), 2: (2, 2, None, 2), 3: constant(3)}
     assignment = [0, 0, 1, 0]
-    wl = hand_built(pc, payloads, assignment, dynamic={2}, receiver_sends=True, **flags)
-    _, state, metrics = run_both(wl, assignment, MODE_PASSES[mode])
+    wl = hand_built(pc, payloads, assignment, dynamic={2}, receiver_sends=True,
+                    echo=echo, **flags)
+    engine, state, metrics = run_both(wl, assignment, MODE_PASSES[mode])
+    assert engine._scans is echo
     want = (123, 123, 13) if fold == "order-sensitive" else (6, 6, 4)
     assert state.agent_values[0] == want
     # counted after each round, from the messages the next round folds
     mailed = 3 if mode == "unopt" else 1
     assert metrics.inbound_total_by_agent[0] == [mailed, mailed - 1, mailed]
+
+
+@pytest.mark.parametrize("fold", sorted(FOLDS))
+@pytest.mark.parametrize("mode", ["unopt", "+local"])
+def test_none_after_rounds_without_one(fold, mode):
+    """The barrier checks for None: agent 0's 3 or 1 mail routes plus its
+    senders' 3 reach the array's 4 entries."""
+    none_after_rounds_without_one(fold, mode, echo=True)
+
+
+@pytest.mark.parametrize("fold", sorted(FOLDS))
+@pytest.mark.parametrize("mode", ["unopt", "+local"])
+def test_none_after_rounds_without_one_unscanned(fold, mode):
+    """No barrier check: agent 0's 3 or 1 mail routes are fewer than the
+    array's 4 entries, so every kernel scans its gathered mail itself."""
+    none_after_rounds_without_one(fold, mode, echo=False)

@@ -3,6 +3,11 @@ accumulative PageRank against a power-iteration oracle."""
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import math
+import pickle
+
 import pytest
 
 from fuseforge.errors import ParameterError
@@ -61,6 +66,117 @@ def test_every_reference_to_an_agent_is_one_shared_state_ref(build):
             assert ref is ref_of[ref.agent_id]
         for ref in wl.static_marks[a]:
             assert ref is ref_of[ref.agent_id]
+
+
+# State records ----------------------------------------------------------------
+
+RECORDS = {
+    "epidemics": EpidemicState(INFECTED, 3, 2**64 - 5),
+    "trader": TraderState((100_00, 100_07), -1, 250, -2, 12345),
+    "market": MarketState(100_00, -3),
+    "pagerank": PageRankState(0.25, 0.125, 3, 2),
+}
+
+
+def is_record(cls) -> bool:
+    """A frozen, slotted dataclass whose ``__init__`` sets each field
+    through its slot's member descriptor, as ``_record`` makes it."""
+    if not (dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+            and "__slots__" in vars(cls)):
+        return False
+    setters = {getattr(cls, f.name).__set__ for f in dataclasses.fields(cls)}
+    return {c.cell_contents for c in cls.__init__.__closure__ or ()} == setters
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_state_records_are_frozen_slotted_dataclasses(name):
+    value = RECORDS[name]
+    cls = type(value)
+    assert is_record(cls)
+    assert not hasattr(value, "__dict__")
+    first = dataclasses.fields(cls)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, first, getattr(value, first))
+    positional = [getattr(value, f.name) for f in dataclasses.fields(cls)]
+    keyword = {f.name: getattr(value, f.name) for f in dataclasses.fields(cls)}
+    assert cls(*positional) == cls(**keyword) == value
+    assert hash(cls(*positional)) == hash(cls(**keyword)) == hash(value)
+    assert dataclasses.replace(value) == value
+    assert dataclasses.replace(value, **{first: positional[1]}) != value
+    assert copy.deepcopy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert repr(value).startswith(f"{cls.__name__}({first}=")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_gol(4, 4, seed=1),
+    lambda: build_epidemics(20, seed=2, p=0.2),
+    lambda: build_epidemics(20, seed=2, model="sbm", p=0.3, blocks=2),
+    lambda: build_economics(9, seed=3),
+    lambda: build_pagerank(erm(20, 0.3, 4)),
+], ids=["gol", "epidemics-erm", "epidemics-sbm", "economics", "pagerank"])
+def test_agent_states_are_bools_ints_or_records(build):
+    """Every agent builds one state per superstep, so a state type that is
+    not a ``_record`` would bring back the slow frozen-dataclass
+    constructor."""
+    for value in build().initial_values.values():
+        assert type(value) in (bool, int) or is_record(type(value))
+
+
+# One result per branch of each update_state, as computed before records
+# were slotted and before the draw inlined its mix.
+STREAM_A, STREAM_B, STREAM_C = 1311325525161987955, 3730570728744530773, 15706867311918570300
+STREAM_A1, STREAM_B1, STREAM_C1 = 12712040344485186440, 15131285548067729258, 8660838057532217169
+
+
+@pytest.mark.parametrize("state, price, want", [
+    (TraderState((100, 110), 0, 500, 2, STREAM_A), 90,
+     TraderState((100, 110, 90), 1, 410, 3, STREAM_A1)),
+    (TraderState((100, 110), 0, 500, 2, STREAM_A), 120,
+     TraderState((100, 110, 120), -1, 620, 1, STREAM_A1)),
+    (TraderState((100, 100), 0, 500, 2, STREAM_A), 100,
+     TraderState((100, 100, 100), 0, 500, 2, STREAM_A1)),
+    (TraderState((100, 110), 0, 500, 2, STREAM_B), 90,
+     TraderState((100, 110, 90), -1, 590, 1, STREAM_B1)),
+], ids=["buy", "sell", "hold", "jitter-flip"])
+def test_trader_update_pinned(state, price, want):
+    update = economics_contracts(window=3, jitter=0.05)["econ.trader"].update_state
+    assert update(state, price) == want
+
+
+@pytest.mark.parametrize("state, k, want", [
+    (EpidemicState(SUSCEPTIBLE, 0, STREAM_A), 3, EpidemicState(INFECTED, 4, STREAM_A1)),
+    (EpidemicState(SUSCEPTIBLE, 0, STREAM_C), 1, EpidemicState(SUSCEPTIBLE, 0, STREAM_C1)),
+    (EpidemicState(INFECTED, 1, STREAM_A), 2, EpidemicState(RECOVERED, 0, STREAM_A)),
+    (EpidemicState(INFECTED, 3, STREAM_A), 0, EpidemicState(INFECTED, 2, STREAM_A)),
+], ids=["S-to-I", "S-stays", "I-to-R", "I-counts-down"])
+def test_epidemics_update_pinned(state, k, want):
+    assert epidemics_contract(beta=0.5, recovery_rounds=4).update_state(state, k) == want
+
+
+@pytest.mark.parametrize("state, incoming, want", [
+    (PageRankState(0.0, 0.0, 4, 0), None, PageRankState(0.15, 0.15, 4, 1)),
+    (PageRankState(0.5, 0.1, 4, 3), 0.25, PageRankState(0.75, 0.25, 4, 4)),
+    (PageRankState(0.5, 0.1, 4, 6), 0.25, PageRankState(0.5, 0.0, 4, 7)),
+], ids=["step-0", "delta", "past-max-iteration"])
+def test_pagerank_update_pinned(state, incoming, want):
+    assert pagerank_contract(max_iteration=5).update_state(state, incoming) == want
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda: build_economics(5, window=0), "window"),
+    (lambda: build_economics(5, window=-3), "window"),
+    (lambda: build_economics(5, jitter=-0.01), "jitter"),
+    (lambda: build_economics(5, jitter=2.5), "jitter"),
+    (lambda: build_economics(5, jitter=math.nan), "jitter"),
+    (lambda: build_economics(5, initial_price=0), "initial_price"),
+    (lambda: build_epidemics(10, recovery_rounds=0), "recovery_rounds"),
+    (lambda: build_epidemics(10, recovery_rounds=-2), "recovery_rounds"),
+], ids=["window0", "window-3", "jitter-0.01", "jitter2.5", "jitter-nan", "price0",
+        "recovery0", "recovery-2"])
+def test_out_of_range_constants_rejected(build, named):
+    with pytest.raises(ParameterError, match=named):
+        build()
 
 
 # Game of Life ---------------------------------------------------------------

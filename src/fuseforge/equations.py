@@ -8,9 +8,12 @@ contract treats it as a multiset.
 
 from __future__ import annotations
 
+import ast
 import math
 import random
 from dataclasses import dataclass, field
+from textwrap import dedent, indent
+from types import CodeType
 from typing import Callable
 
 from .errors import ContractError
@@ -76,6 +79,10 @@ class ComputeMethodContract:
     the fold must agree, which aggregation pushdown relies on.  ``fold="add"``
     declares that ``partial_compute(ms)`` is ``ms[0] + ... + ms[-1]`` on
     int64 messages, so the engine may add the messages inline.
+    ``update_state`` and ``state_to_message`` made together by
+    ``rule_from_text`` carry their source text, and the engine splices that
+    text into its kernels instead of calling them; any other callables,
+    including wrappers of those, are called.
     """
 
     name: str
@@ -93,6 +100,79 @@ class ComputeMethodContract:
     @property
     def pushdown_eligible(self) -> bool:
         return self.associative and self.commutative
+
+
+def rule_from_text(update: str, message: str, env: dict[str, object]) -> tuple[Callable, Callable]:
+    """A contract's ``update_state`` and ``state_to_message`` compiled from
+    source text.
+
+    ``update`` is statements over the state ``s`` and the fold ``f`` that
+    leave the new state in ``s``; ``message`` is one expression over ``s``.
+    Any other name they read comes from ``env`` or the builtins.  Each
+    callable carries its text, normalized, as ``text``, and the engine
+    splices the two texts into its generated kernels in place of calling
+    them, so a text must mean the same there: the update may not
+    ``return``, ``yield``, declare a name ``global`` or ``nonlocal``, or bind
+    a name a kernel binds or reads other than ``s``; the message may not
+    contain ``:=`` or ``yield``; neither may read a name a kernel binds
+    other than ``s`` (and the update's ``f``), nor may the message read one
+    the update binds; and ``env`` may name nothing a kernel uses.  A text
+    that breaks a rule raises ``ContractError``.  Not checked: a local that
+    the update reads on a path that has not assigned it raises in the
+    callable but, in a kernel, reads the previous agent's value.
+    """
+    from .runtime import kernel_use  # runtime imports this module
+
+    update_tree = _parse(update, "exec", "update")
+    message_tree = _parse(message, "eval", "message")
+    for tree, banned, what in ((update_tree, _UPDATE_BANS, "update"),
+                               (message_tree, _MESSAGE_BANS, "message")):
+        for node in ast.walk(tree):
+            if isinstance(node, banned):
+                raise ContractError(f"{what} text may not use {type(node).__name__}: "
+                                    f"{ast.unparse(node)!r}")
+    update, message = ast.unparse(update_tree), ast.unparse(message_tree)
+    # the names the update binds, by whatever statement: compiled as the
+    # body of a function without parameters, they are exactly its locals
+    [probe] = [c for c in _compile(f"def rule():\n{indent(update, '    ')}\n    pass\n",
+                                   "update").co_consts if isinstance(c, CodeType)]
+    bound = set(probe.co_varnames) | set(probe.co_cellvars)
+    clashes = [f"update binds {name!r}" for name in sorted(bound - {"s"}) if kernel_use(name)]
+    # in the kernel the message also sees the update's locals
+    for tree, own, what in ((update_tree, bound | {"f"}, "update"), (message_tree, set(), "message")):
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        clashes += [f"{what} reads {name!r}" for name in sorted(read - own - {"s"})
+                    if kernel_use(name) == "binds" or name in bound]
+    clashes += [f"env names {name!r}" for name in sorted(env) if kernel_use(name)]
+    if clashes:
+        raise ContractError(f"rule text uses names of the generated kernel: {'; '.join(clashes)}")
+
+    made: dict = {}
+    exec(_compile(f"def update_state(s, f):\n{indent(update, '    ')}\n    return s\n"
+                  f"def state_to_message(s):\n    return ({message})\n", "rule"), dict(env), made)
+    update_state, state_to_message = made["update_state"], made["state_to_message"]
+    update_state.text, state_to_message.text = update, message
+    return update_state, state_to_message
+
+
+_UPDATE_BANS = (ast.Return, ast.Yield, ast.YieldFrom, ast.Global, ast.Nonlocal)
+_MESSAGE_BANS = (ast.NamedExpr, ast.Yield, ast.YieldFrom)
+
+
+def _parse(text: str, mode: str, what: str) -> ast.AST:
+    try:
+        return ast.parse(dedent(text), mode=mode)
+    except SyntaxError as e:
+        kind = "statements" if mode == "exec" else "one expression"
+        raise ContractError(f"{what} text is not {kind}: {e.msg}: {text!r}") from e
+
+
+def _compile(source: str, what: str):
+    try:
+        return compile(source, f"<fuseforge {what}>", "exec")
+    except SyntaxError as e:
+        raise ContractError(f"{what} text does not compile: {e.msg}") from e
 
 
 def validate_contract(contract: ComputeMethodContract, cases: int = 200, seed: int = 0) -> None:

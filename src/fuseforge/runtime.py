@@ -55,8 +55,15 @@ state_to_message(s)``.  A contract that declares ``fold="add"`` folds its
 reads with an inline ``+`` expression, falling back to ``partial_compute``
 over the messages actually sent when one of them is None, and adds the
 ``sum`` of its mail; every other contract calls ``partial_compute`` on one
-list.  Generated code depends only on the group's shape, so groups of one
-shape share one code object, compiled once per process.  A key whose read
+list.  Fused kernels: where a contract's ``update_state`` and
+``state_to_message`` were compiled from text by ``rule_from_text`` (gol and
+epidemics), the kernel runs ``s = values[a]``, then the update text, and
+writes the message expression's value, instead of making two calls per
+agent, and it runs in the callables' scope; a contract whose callables
+carry no text (trader, market, PageRank, or any callable replaced, say by a
+counting wrapper) keeps the calls.  Generated code depends only on the
+group's shape and texts, so groups of one shape and texts share one code
+object, compiled once per process.  A key whose read
 arity exceeds the number of agents sharing it (a hub) keeps each row's
 reads as one tuple instead of unpacking them, so the generated code stays
 linear in the number of agents; an order-sensitive fold of reads and mail
@@ -70,11 +77,14 @@ for any merged-order permutation.
 
 from __future__ import annotations
 
+import re
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from operator import itemgetter
+from types import CodeType, FunctionType
 
 from .equations import ComputeMethodContract
 from .errors import CoverageError, UnsupportedThreadsError
@@ -130,7 +140,8 @@ def _gather(indices: list[int]) -> itemgetter:
     return itemgetter(*indices)
 
 
-def _kernel_source(arity: int | None, add: bool, mail: bool, sends: bool) -> str:
+def _kernel_source(arity: int | None, add: bool, mail: bool, sends: bool,
+                   update: str | None = None, message: str | None = None) -> str:
     """Python source of the kernel for one group shape.
 
     ``arity`` None means each row holds its reads as one tuple ``I``.
@@ -138,7 +149,9 @@ def _kernel_source(arity: int | None, add: bool, mail: bool, sends: bool) -> str
     ``g(prev)`` are folded after the reads in gather order; the kernel scans
     them for None unless ``clean`` says the array holds none.  ``sends``
     means each row also has its mail-edge count ``k`` and the count ``x`` of
-    those edges that cross partitions.
+    those edges that cross partitions.  ``update`` and ``message`` are a
+    contract's texts (see ``equations.rule_from_text``), spliced in place of
+    the calls ``up(values[a], f)`` and ``sm(s)``.
     """
     if arity is None:
         row = ["a", "I"]
@@ -182,15 +195,20 @@ def _kernel_source(arity: int | None, add: bool, mail: bool, sends: bool) -> str
         gather = ["ms = g(prev)"] if arity == 0 else [f"ms = {listed}", "ms += g(prev)"]
         body = [*gather, *present, "f = pc(ms) if ms else None"]
 
-    body += ["s = up(values[a], f)", "values[a] = s"]
+    if update is None:
+        body += ["s = up(values[a], f)"]
+    else:
+        body += ["s = values[a]", *update.splitlines()]
+    body += ["values[a] = s"]
+    out = "sm(s)" if message is None else f"({message})"
     if sends:
-        body += ["out = sm(s)",
+        body += [f"out = {out}",
                  "nxt[a] = out",
                  "if out is not None:",
                  "    logical += k",
                  "    crossed += x"]
     else:
-        body += ["nxt[a] = sm(s)"]
+        body += [f"nxt[a] = {out}"]
 
     lines = ["def kernel(T, prev, nxt, values, counter, pc, up, sm, clean):"]
     if sends:
@@ -203,13 +221,49 @@ def _kernel_source(arity: int | None, add: bool, mail: bool, sends: bool) -> str
 
 
 @lru_cache(maxsize=64)
-def _make_kernel(shape: tuple):
-    """The kernel of one group shape; shapes recur across engines, and each
-    compile costs about half a millisecond."""
-    namespace: dict = {}
-    exec(compile(_kernel_source(*shape), f"<fuseforge kernel {shape}>", "exec"),
-         globals(), namespace)
-    return namespace["kernel"]
+def _make_kernel(shape: tuple, update: str | None = None, message: str | None = None) -> CodeType:
+    """The kernel code of one group shape and pair of texts; they recur
+    across engines, and each compile costs about half a millisecond."""
+    source = _kernel_source(*shape, update, message)
+    [code] = [c for c in compile(source, f"<fuseforge kernel {shape}>", "exec").co_consts
+              if isinstance(c, CodeType)]
+    return code
+
+
+@lru_cache(maxsize=1)
+def _kernel_names() -> tuple[frozenset[str], frozenset[str]]:
+    """The names the kernels of every shape bind, parameters included, and
+    the globals they read."""
+    bound: set[str] = set()
+    read: set[str] = set()
+    for shape in product((None, 0, 1, 2), (False, True), (False, True), (False, True)):
+        code = _make_kernel.__wrapped__(shape)  # uncached: these shapes need not run
+        bound.update(code.co_varnames)
+        read.update(code.co_names)
+    return frozenset(bound), frozenset(read)
+
+
+def kernel_use(name: str) -> str | None:
+    """How some kernel uses ``name``: ``"binds"`` it (a parameter, a row
+    field such as the read index ``i<N>`` of any arity, or a local),
+    ``"reads"`` it as a global, or None.  A spliced text that rebinds a
+    kernel's name, or an environment that shadows one, would change what
+    the kernel computes."""
+    bound, read = _kernel_names()
+    if name in bound or re.fullmatch(r"i\d+", name):
+        return "binds"
+    return "reads" if name in read else None
+
+
+def _kernel_texts(c: ComputeMethodContract) -> tuple[str, str] | tuple[None, None]:
+    """The contract's update and message texts where both callables carry
+    them from one scope; a contract whose callables were replaced, for
+    instance by counting wrappers, keeps its calls."""
+    up, sm = c.update_state, c.state_to_message
+    update, message = getattr(up, "text", None), getattr(sm, "text", None)
+    if update is None or message is None or up.__globals__ is not sm.__globals__:
+        return None, None
+    return update, message
 
 
 class Engine:
@@ -355,7 +409,12 @@ class Engine:
             program = []
             for key, rows in groups.items():
                 c = self.contract_of[rows[0][0]]
-                program.append((_make_kernel(shape_of[key][0]), tuple(rows), c.partial_compute,
+                texts = _kernel_texts(c)
+                # a fused kernel runs its texts in the scope of the contract's callables
+                scope = globals() if texts[0] is None else {
+                    **c.update_state.__globals__, "_present": _present}
+                kernel = FunctionType(_make_kernel(shape_of[key][0], *texts), scope)
+                program.append((kernel, tuple(rows), c.partial_compute,
                                 c.update_state, c.state_to_message))
             self.programs.append(program)
 

@@ -33,6 +33,7 @@ from .equations import (
     BehavioralEquation,
     ComputeMethodContract,
     StateRef,
+    rule_from_text,
     validate_contract,
 )
 from .errors import ParameterError
@@ -106,22 +107,23 @@ def _sum_or_none(ms: list) -> int | None:
 
 def gol_contract() -> ComputeMethodContract:
     """Alive-neighbor counting: exactly 3 revives, <2 or >3 kills, else keep."""
-
-    def update(s: bool, n: int | None) -> bool:
-        if n is None:
-            return s
-        if n == 3:
-            return True
-        if n < 2 or n > 3:
-            return False
-        return s
-
+    update, message = rule_from_text(
+        """
+        if f is not None:
+            if f == 3:
+                s = True
+            elif f < 2 or f > 3:
+                s = False
+        """,
+        "1 if s else 0",
+        {},
+    )
     return ComputeMethodContract(
         name="gol",
         value_type="bool",
         in_message_type="int64",
         out_message_type="int64",
-        state_to_message=lambda s: 1 if s else 0,
+        state_to_message=message,
         partial_compute=_sum_or_none,
         update_state=update,
         associative=True,
@@ -173,29 +175,33 @@ def epidemics_contract(beta: float = 0.05, recovery_rounds: int = 5) -> ComputeM
         raise ParameterError(f"beta={beta} outside [0, 1]")
     if recovery_rounds < 1:
         raise ParameterError(f"recovery_rounds={recovery_rounds} must be >= 1")
-    survive = 1.0 - beta
-
-    def update(s: EpidemicState, k: int | None) -> EpidemicState:
-        if k is None:
-            return s
-        if s.status == SUSCEPTIBLE and k > 0:
-            rng, u = next_float(s.rng)
-            if u < 1.0 - survive**k:
-                return EpidemicState(INFECTED, recovery_rounds, rng)
-            return EpidemicState(SUSCEPTIBLE, s.rounds_to_recover, rng)
-        if s.status == INFECTED:
-            left = s.rounds_to_recover - 1
-            if left <= 0:
-                return EpidemicState(RECOVERED, 0, s.rng)
-            return EpidemicState(INFECTED, left, s.rng)
-        return s
-
+    update, message = rule_from_text(
+        """
+        if f is not None:
+            if s.status == SUSCEPTIBLE and f > 0:
+                rng, u = next_float(s.rng)
+                if u < 1.0 - survive**f:
+                    s = EpidemicState(INFECTED, recovery_rounds, rng)
+                else:
+                    s = EpidemicState(SUSCEPTIBLE, s.rounds_to_recover, rng)
+            elif s.status == INFECTED:
+                left = s.rounds_to_recover - 1
+                if left <= 0:
+                    s = EpidemicState(RECOVERED, 0, s.rng)
+                else:
+                    s = EpidemicState(INFECTED, left, s.rng)
+        """,
+        "1 if s.status == INFECTED else 0",
+        {"SUSCEPTIBLE": SUSCEPTIBLE, "INFECTED": INFECTED, "RECOVERED": RECOVERED,
+         "EpidemicState": EpidemicState, "next_float": next_float,
+         "survive": 1.0 - beta, "recovery_rounds": recovery_rounds},
+    )
     return ComputeMethodContract(
         name="epidemics",
         value_type="record:EpidemicState",
         in_message_type="int64",
         out_message_type="int64",
-        state_to_message=lambda s: 1 if s.status == INFECTED else 0,
+        state_to_message=message,
         partial_compute=_sum_or_none,
         update_state=update,
         associative=True,
@@ -278,12 +284,14 @@ def economics_contracts(
         if price is None:
             return s
         seen = (s.window + (price,))[-window:]
-        if len(seen) > 1:
+        count = len(seen)
+        if count > 1:
             avg_num = sum(seen)
             # compare price against mean using exact integer arithmetic
-            if price * len(seen) < avg_num:
+            scaled = price * count
+            if scaled < avg_num:
                 action = 1
-            elif price * len(seen) > avg_num:
+            elif scaled > avg_num:
                 action = -1
             else:
                 action = 0

@@ -11,6 +11,7 @@ from fuseforge.equations import (
     BehavioralEquation,
     ComputeMethodContract,
     StateRef,
+    rule_from_text,
     validate_contract,
 )
 from fuseforge.errors import ContractError
@@ -117,6 +118,43 @@ def test_validate_contract_rejects_an_add_fold_on_floats():
 def test_validate_contract_rejects_an_unknown_fold():
     with pytest.raises(ContractError, match="unknown fold"):
         validate_contract(replace(gol_contract(), fold="max"))
+
+
+GOL_MESSAGE = "1 if s else 0"
+
+
+@pytest.mark.parametrize("update, message, env", [
+    *((f"{name} = 1", GOL_MESSAGE, {})
+      for name in ("a", "prev", "nxt", "values", "f", "ms", "k", "i3")),
+    ("for x in range(2):\n    s = x", GOL_MESSAGE, {}),
+    ("return s", GOL_MESSAGE, {}),
+    ("yield s", GOL_MESSAGE, {}),
+    ("global s", GOL_MESSAGE, {}),
+    ("s = not s", "s = 1", {}),
+    ("s = not s", "(t := s)", {}),
+    ("s = not s", "f", {}),
+    ("s = ms", GOL_MESSAGE, {}),
+    ("u = 1\ns = u", "u", {"u": 2}),
+    ("s = not s", GOL_MESSAGE, {"sum": len}),
+    ("s = (", GOL_MESSAGE, {}),
+], ids=[*(f"assigns-{name}" for name in ("a", "prev", "nxt", "values", "f", "ms", "k", "i3")),
+        "loops-over-x", "returns", "yields", "global", "message-statement",
+        "message-walrus", "message-reads-f", "update-reads-ms", "message-reads-update-local", "env-shadows-sum",
+        "update-syntax"])
+def test_rule_text_rejected(update, message, env):
+    """A text that would compute something else when spliced into a
+    kernel, or that is not a text of its kind, raises at build time."""
+    with pytest.raises(ContractError):
+        rule_from_text(update, message, env)
+
+
+def test_rule_text_callables_carry_normalized_text():
+    up, sm = rule_from_text("""
+        if f:  # any neighbor
+            s = s + (f,)
+        """, "len(s)", {})
+    assert up.text == "if f:\n    s = s + (f,)" and sm.text == "len(s)"
+    assert up((), None) == () and up((1,), 2) == (1, 2) and sm((1, 2)) == 2
 
 
 def test_fold_regroup_matches_for_random_groupings():

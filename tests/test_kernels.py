@@ -16,12 +16,16 @@ its shape, so its rows keep their reads as one tuple.
 
 from __future__ import annotations
 
+import dataclasses
+import dis
+from collections import Counter
+
 import pytest
 
 from fuseforge.graphgen import erm, partition_greedy
 from fuseforge.optimizer import MODE_PASSES, default_pipeline
 from fuseforge.runtime import Engine
-from fuseforge.workloads import build_gol, build_pagerank, state_checksum
+from fuseforge.workloads import build_epidemics, build_gol, build_pagerank, state_checksum
 from interpreter import Interpreter, resolve
 from test_differential import WORKLOADS as DIFFERENTIAL_WORKLOADS
 from test_differential import drop_a_third_of_marks, partitionings, valid_pass_subsets
@@ -80,10 +84,17 @@ def test_kernels_match_the_interpreted_loop(workload, dynamic):
             assert got == want, (partitioner, sorted(passes))
 
 
+def calls_made(engine) -> set[str]:
+    """Which of the contract callables ``up`` and ``sm`` the engine's
+    kernels load: a fused kernel runs their texts instead."""
+    return {ins.argval for program in engine.programs for kernel, *_ in program
+            for ins in dis.get_instructions(kernel) if ins.argval in ("up", "sm")}
+
+
 def test_gol_full_compiles_one_kernel_per_group_key():
     """Kernels are generated per group, never unrolled per agent: on gol
     100x100 in full mode every agent has the same key, so the ten partitions
-    share one code object."""
+    share one code object, and it runs the rule's text, not its callables."""
     wl = build_gol(100, 100, seed=0)
     parts = partition_greedy(wl.graph, 1000, 0)
     plans = default_pipeline(parts, wl.equations, wl.static_marks, MODE_PASSES["full"],
@@ -92,6 +103,40 @@ def test_gol_full_compiles_one_kernel_per_group_key():
     engine = Engine(wl, plans)
     assert group_keys(engine, wl, plans) == {("gol", 8, False, False)}
     check_structure(engine, wl, plans)
+    assert calls_made(engine) == set()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_gol(12, 12, seed=1),
+    lambda: build_epidemics(150, seed=1, p=0.04, beta=0.3, initial_infected=(0, 1, 2)),
+], ids=["gol", "epidemics"])
+@pytest.mark.parametrize("mode", ["unopt", "full"])
+def test_wrapped_callables_are_not_bypassed(build, mode):
+    """Callables swapped for counting wrappers through ``dataclasses.replace``,
+    as the benchmark's traced runs count them, carry no text: the engine
+    calls them, the update once per agent and round, and the run observes
+    what the fused run does."""
+    wl = build()
+    calls: Counter = Counter()
+
+    def counting(name, fn):
+        return lambda *args: (calls.update((name,)), fn(*args))[1]
+
+    wrapped = dataclasses.replace(wl, contracts={
+        key: dataclasses.replace(c, update_state=counting("update", c.update_state),
+                                 state_to_message=counting("message", c.state_to_message))
+        for key, c in wl.contracts.items()})
+    plans = default_pipeline(partition_greedy(wl.graph, 50, 0), wl.equations, wl.static_marks,
+                             MODE_PASSES[mode], contracts=wl.contracts)
+    track = (0, wl.graph.vertex_count - 1)
+    fused, called = Engine(wl, plans, track), Engine(wrapped, plans, track)
+    assert calls_made(fused) == set() and calls_made(called) == {"up", "sm"}
+    want = observe(wl, fused.run(ROUNDS))
+    calls.clear()
+    got = observe(wl, called.run(ROUNDS))
+    n = wl.graph.vertex_count
+    assert calls == {"update": n * ROUNDS, "message": n * (ROUNDS + 1)}  # superstep 0 seeds
+    assert got == want
 
 
 def test_engines_share_compiled_kernels():

@@ -182,6 +182,15 @@ def test_out_of_range_constants_rejected(build, named):
 # Game of Life ---------------------------------------------------------------
 
 
+# B3/S23 written out: the next state for neighbor counts None, 0, 1, ..., 8.
+# The rule is source text that the kernels splice in, so a slip in it would
+# change the kernels and the interpreter alike; only this table catches it.
+GOL_TABLE = {
+    False: (False, False, False, False, True, False, False, False, False, False),
+    True: (True, False, False, True, True, False, False, False, False, False),
+}
+
+
 def test_gol_rules_match_reference():
     c = gol_contract()
     pc, up = c.partial_compute, c.update_state
@@ -189,7 +198,11 @@ def test_gol_rules_match_reference():
     assert up(True, pc([1, 1])) is True  # survival on 2
     assert up(True, pc([1, 1, 1, 1])) is False  # overpopulation
     assert up(True, pc([1])) is False  # underpopulation
-    assert c.state_to_message(True) == 1 and c.state_to_message(False) == 0
+    for s, row in GOL_TABLE.items():
+        assert [up(s, n) for n in (None, *range(9))] == list(row), s
+        assert all(type(up(s, n)) is bool for n in (None, *range(9)))
+    assert [c.state_to_message(s) for s in (False, True)] == [0, 1]
+    assert all(type(c.state_to_message(s)) is int for s in (False, True))
 
 
 def test_gol_block_still_life_fixed_point():

@@ -109,8 +109,8 @@ COLUMNS = [
     "workload", "agents", "partitions", "partitioner", "mode", "rounds",
     "seed", "mean_time_per_round_ms", "total_rounds",
     "logical_messages_per_round", "wire_messages_per_round",
-    "header_units_per_round", "opt_refine_ms", "opt_cache_ms", "opt_remote_ms",
-    "opt_local_ms", "opt_merge_ms", "opt_pushdown_ms", "opt_total_ms",
+    "header_units_per_round", "active_fraction", "opt_refine_ms", "opt_cache_ms",
+    "opt_remote_ms", "opt_local_ms", "opt_merge_ms", "opt_pushdown_ms", "opt_total_ms",
     "graph_build_ms", "checksum", "partition_ms", "engine_compile_ms",
 ]
 
@@ -125,6 +125,7 @@ class MetricsRow:
     logical_messages_per_round: float
     wire_messages_per_round: float
     header_units_per_round: float
+    active_fraction: float | None  # mean agents run per round over agents
     optimizer_ms: dict[str, float]
     graph_build_ms: float
     checksum: str
@@ -142,7 +143,7 @@ class MetricsRow:
             str(c.resolved_rounds()), str(c.seed),
             num(self.mean_time_per_round_ms), str(self.total_rounds),
             num(self.logical_messages_per_round), num(self.wire_messages_per_round),
-            num(self.header_units_per_round),
+            num(self.header_units_per_round), num(self.active_fraction),
             num(self.optimizer_ms.get("refine", 0.0)),
             num(self.optimizer_ms.get("cache", 0.0)),
             num(self.optimizer_ms.get("remote", 0.0)),
@@ -222,13 +223,14 @@ def run(config: RunConfig) -> MetricsRow:
     for _ in range(config.repetitions):
         state, metrics = engine.run(rounds)
         per_rep.append(metrics.mean_wall_seconds_per_round)
-    mean_ms: float | None = None
+    mean_ms = active = None
     logical = wire = header = 0.0
     if rounds:
         mean_ms = 1000.0 * sum(per_rep) / len(per_rep)
         logical = sum(metrics.logical_messages_per_round) / rounds
         wire = sum(metrics.wire_units_per_round) / rounds
         header = sum(metrics.header_units_per_round) / rounds
+        active = sum(metrics.active_per_round) / rounds / wl.graph.vertex_count
     return MetricsRow(
         config=config,
         agents=wl.graph.vertex_count,
@@ -238,6 +240,7 @@ def run(config: RunConfig) -> MetricsRow:
         logical_messages_per_round=logical,
         wire_messages_per_round=wire,
         header_units_per_round=header,
+        active_fraction=active,
         optimizer_ms=opt_times,
         graph_build_ms=graph_ms,
         checksum=state_checksum(wl, state.agent_values),

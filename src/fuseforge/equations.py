@@ -116,10 +116,15 @@ def rule_from_text(update: str, message: str, env: dict[str, object]) -> tuple[C
     a name a kernel binds or reads other than ``s``; the message may not
     contain ``:=`` or ``yield``; neither may read a name a kernel binds
     other than ``s`` (and the update's ``f``), nor may the message read one
-    the update binds; and ``env`` may name nothing a kernel uses.  A text
-    that breaks a rule raises ``ContractError``.  Not checked: a local that
-    the update reads on a path that has not assigned it raises in the
-    callable but, in a kernel, reads the previous agent's value.
+    the update binds; the update may not read a local on a path that has
+    not assigned it, which in a kernel would hold the value of whichever
+    agent ran before; and ``env`` may name nothing a kernel uses.  A text
+    that breaks a rule raises ``ContractError``.
+
+    Not checked: both texts must be deterministic functions of ``s``, ``f``
+    and ``env``, and the update must leave a state it changes in a new
+    object rather than change ``s`` in place, since the engine skips an
+    agent whose state object and inputs did not change (see ``runtime``).
     """
     from .runtime import kernel_use  # runtime imports this module
 
@@ -147,6 +152,11 @@ def rule_from_text(update: str, message: str, env: dict[str, object]) -> tuple[C
     clashes += [f"env names {name!r}" for name in sorted(env) if kernel_use(name)]
     if clashes:
         raise ContractError(f"rule text uses names of the generated kernel: {'; '.join(clashes)}")
+    walk = _Assigned(bound - {"s"})
+    walk.block(update_tree.body, frozenset())
+    if walk.unset:
+        raise ContractError(f"update text reads {', '.join(map(repr, walk.unset))} on a "
+                            f"path that has not assigned it")
 
     made: dict = {}
     exec(_compile(f"def update_state(s, f):\n{indent(update, '    ')}\n    return s\n"
@@ -158,6 +168,118 @@ def rule_from_text(update: str, message: str, env: dict[str, object]) -> tuple[C
 
 _UPDATE_BANS = (ast.Return, ast.Yield, ast.YieldFrom, ast.Global, ast.Nonlocal)
 _MESSAGE_BANS = (ast.NamedExpr, ast.Yield, ast.YieldFrom)
+
+
+class _Assigned:
+    """A definite-assignment walk over update statements: ``unset`` lists
+    the ``local`` names some statement reads where not every path to it
+    has assigned them.  A step takes and returns the names assigned on
+    every path, None after a statement that no path continues from
+    (``raise``, ``break``, ``continue``).  A loop body may run no times, so
+    a loop assigns nothing for the code after it.  Any other compound
+    statement (``try``, ``with``, ``match``, a nested ``def``) is read
+    where it stands and assigns nothing."""
+
+    def __init__(self, local: set[str]):
+        self.local = local
+        self.unset: list[str] = []
+
+    def block(self, body: list[ast.stmt], done: frozenset | None) -> frozenset | None:
+        for node in body:
+            if done is None:
+                break
+            done = self.stmt(node, done)
+        return done
+
+    def stmt(self, node: ast.stmt, done: frozenset) -> frozenset | None:
+        if isinstance(node, ast.If):
+            done = self.expr(node.test, done)
+            return _join(self.block(node.body, done), self.block(node.orelse, done))
+        if isinstance(node, ast.For):
+            done = self.expr(node.iter, done)
+            self.block(node.body, self.expr(node.target, done) | _names(node.target))
+            self.block(node.orelse, done)
+            return done
+        if isinstance(node, ast.While):
+            done = self.expr(node.test, done)
+            self.block(node.body + node.orelse, done)
+            return done
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            if node.value is None:  # a bare annotation
+                return done
+            if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                self.read(node.target.id, done)
+            done = self.expr(node.value, done)
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                done = self.expr(target, done) | _names(target)
+            return done
+        if isinstance(node, (ast.Expr, ast.Assert, ast.Delete, ast.Pass, ast.Raise,
+                             ast.Break, ast.Continue)):
+            for child in ast.iter_child_nodes(node):
+                done = self.expr(child, done)
+            if isinstance(node, (ast.Raise, ast.Break, ast.Continue)):
+                return None
+            return done - _names(node, ast.Del)
+        self.other(node, done)
+        return done
+
+    def other(self, node: ast.AST, done: frozenset) -> None:
+        for _, value in ast.iter_fields(node):
+            items = value if isinstance(value, list) else [value]
+            if items and all(isinstance(item, ast.stmt) for item in items):
+                self.block(items, done)
+                continue
+            for item in items:
+                if isinstance(item, ast.expr):
+                    self.expr(item, done)
+                elif isinstance(item, ast.AST):
+                    self.other(item, done)
+
+    def read(self, name: str, done: frozenset) -> None:
+        if name in self.local and name not in done and name not in self.unset:
+            self.unset.append(name)
+
+    def expr(self, node: ast.AST, done: frozenset) -> frozenset:
+        """Check the reads of ``node`` in evaluation order; returns the names
+        assigned on every path through it (by ``:=``)."""
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Load):
+                self.read(node.id, done)
+            return done
+        if isinstance(node, ast.NamedExpr):
+            return self.expr(node.value, done) | {node.target.id}
+        if isinstance(node, ast.BoolOp):  # only the first operand always runs
+            done = self.expr(node.values[0], done)
+            for value in node.values[1:]:
+                self.expr(value, done)
+            return done
+        if isinstance(node, ast.IfExp):
+            done = self.expr(node.test, done)
+            return _join(self.expr(node.body, done), self.expr(node.orelse, done))
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            inner = done  # the comprehension's own targets are bound before its body
+            for gen in node.generators:
+                inner = self.expr(gen.iter, inner) | _names(gen.target)
+                for cond in gen.ifs:
+                    inner = self.expr(cond, inner)
+            for part in (node.key, node.value) if isinstance(node, ast.DictComp) else (node.elt,):
+                self.expr(part, inner)
+            return done
+        for child in ast.iter_child_nodes(node):
+            done = self.expr(child, done)
+        return done
+
+
+def _join(*paths: frozenset | None) -> frozenset | None:
+    """The names assigned on every path that continues."""
+    live = [p for p in paths if p is not None]
+    return frozenset.intersection(*live) if live else None
+
+
+def _names(node: ast.AST, ctx: type = ast.Store) -> frozenset:
+    """The plain names ``node`` binds (or, with ``ast.Del``, deletes)."""
+    return frozenset(n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                     and isinstance(n.ctx, ctx))
 
 
 def _parse(text: str, mode: str, what: str) -> ast.AST:

@@ -69,6 +69,27 @@ reads as one tuple instead of unpacking them, so the generated code stays
 linear in the number of agents; an order-sensitive fold of reads and mail
 has read arity 0, since its getter holds both.
 
+Active sets: a fused group without mail (gol, and epidemics in every mode
+that stages all its reads) is tracked.  Every update is a deterministic
+function of the state and the fold, so an agent whose state did not change
+in round t-1, and none of whose sources changed, keeps its state in round
+t: it is skipped.  A tracked kernel runs only the rows of its table marked
+in a byte mask kept in run order (``itertools.compress`` over the table and
+its slice of the mask), stores an agent's value only when the update
+returned another state object, and records those agents.  At the barrier
+each of them marks its own row and the tracked rows that read it for the
+next round; a row that reads an untracked agent, whose changes nothing
+records, is marked every round.  A skipped agent writes nothing: both
+message arrays already hold its message, since it ran, and wrote it, in
+the round after its last change.  So aggregator partials, mail gathered
+from its entry, traffic counts and inbound counts read what a run without
+skipping would.  Round 0 runs every row, and where a round's changed agents
+would mark at least as many entries as there are tracked rows, the next
+round runs every row and nothing is marked.  Groups with mail, and groups
+whose callables carry no text (trader, market, PageRank, or any wrapped
+callable), are not tracked, and an engine without a tracked group builds
+no mask.
+
 Determinism: every fold consumes its inputs in an order fixed at compile
 time, per-agent RNG streams live inside agent values, and each partition
 writes only its own agents' entries, so the final state is bit-identical
@@ -82,7 +103,7 @@ import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 from operator import itemgetter
 from types import CodeType, FunctionType
 
@@ -97,6 +118,7 @@ class Metrics:
     logical_messages_per_round: list[int] = field(default_factory=list)
     wire_units_per_round: list[int] = field(default_factory=list)
     header_units_per_round: list[int] = field(default_factory=list)
+    active_per_round: list[int] = field(default_factory=list)  # rows run
     inbound_wire_by_agent: dict[int, list[int]] = field(default_factory=dict)
     inbound_total_by_agent: dict[int, list[int]] = field(default_factory=dict)
 
@@ -140,7 +162,7 @@ def _gather(indices: list[int]) -> itemgetter:
     return itemgetter(*indices)
 
 
-def _kernel_source(arity: int | None, add: bool, mail: bool, sends: bool,
+def _kernel_source(arity: int | None, add: bool, mail: bool, sends: bool, tracked: bool,
                    update: str | None = None, message: str | None = None) -> str:
     """Python source of the kernel for one group shape.
 
@@ -151,7 +173,9 @@ def _kernel_source(arity: int | None, add: bool, mail: bool, sends: bool,
     means each row also has its mail-edge count ``k`` and the count ``x`` of
     those edges that cross partitions.  ``update`` and ``message`` are a
     contract's texts (see ``equations.rule_from_text``), spliced in place of
-    the calls ``up(values[a], f)`` and ``sm(s)``.
+    the calls ``up(values[a], f)`` and ``sm(s)``.  ``tracked`` (a group
+    without mail) means the kernel stores an agent's value only when its
+    state object changed, and appends each such agent to ``changed``.
     """
     if arity is None:
         row = ["a", "I"]
@@ -195,11 +219,15 @@ def _kernel_source(arity: int | None, add: bool, mail: bool, sends: bool,
         gather = ["ms = g(prev)"] if arity == 0 else [f"ms = {listed}", "ms += g(prev)"]
         body = [*gather, *present, "f = pc(ms) if ms else None"]
 
-    if update is None:
-        body += ["s = up(values[a], f)"]
+    if tracked:
+        body += ["s = was = values[a]", *(update or "s = up(s, f)").splitlines(),
+                 "if s is not was:",
+                 "    values[a] = s",
+                 "    mark(a)"]
+    elif update is None:
+        body += ["s = up(values[a], f)", "values[a] = s"]
     else:
-        body += ["s = values[a]", *update.splitlines()]
-    body += ["values[a] = s"]
+        body += ["s = values[a]", *update.splitlines(), "values[a] = s"]
     out = "sm(s)" if message is None else f"({message})"
     if sends:
         body += [f"out = {out}",
@@ -210,7 +238,11 @@ def _kernel_source(arity: int | None, add: bool, mail: bool, sends: bool,
     else:
         body += [f"nxt[a] = {out}"]
 
-    lines = ["def kernel(T, prev, nxt, values, counter, pc, up, sm, clean):"]
+    if tracked:
+        lines = ["def kernel(T, prev, nxt, values, changed, pc, up, sm, clean):",
+                 "    mark = changed.append"]
+    else:
+        lines = ["def kernel(T, prev, nxt, values, counter, pc, up, sm, clean):"]
     if sends:
         lines.append("    logical = crossed = 0")
     lines.append(f"    for {', '.join(row)}{',' if len(row) == 1 else ''} in T:")
@@ -236,7 +268,9 @@ def _kernel_names() -> tuple[frozenset[str], frozenset[str]]:
     the globals they read."""
     bound: set[str] = set()
     read: set[str] = set()
-    for shape in product((None, 0, 1, 2), (False, True), (False, True), (False, True)):
+    for shape in product((None, 0, 1, 2), *[(False, True)] * 4):
+        if shape[4] and (shape[2] or shape[3]):
+            continue  # a tracked group has no mail
         code = _make_kernel.__wrapped__(shape)  # uncached: these shapes need not run
         bound.update(code.co_varnames)
         read.update(code.co_names)
@@ -270,10 +304,12 @@ class Engine:
     """Compiled program: each partition is a list of kernel steps.
 
     ``programs[p]`` holds partition p's steps in the order they run, each
-    ``(kernel, table, partial_compute, update_state, state_to_message)``.
-    One step covers the partition's agents of one contract, read arity and
-    mail shape.  Every agent the partition runs is in exactly one row of one
-    table.  The message array has ``n + len(aggregators)`` entries:
+    ``(kernel, table, partial_compute, update_state, state_to_message,
+    span)``.  One step covers the partition's agents of one contract, read
+    arity and mail shape.  Every agent the partition runs is in exactly one
+    row of one table.  ``span`` is None for an untracked group, and a
+    tracked group's slice of the active-set mask otherwise; the mask has
+    ``tracked_rows`` entries.  The message array has ``n + len(aggregators)`` entries:
     aggregator k's partial is entry ``n + k``.  ``routes`` counts the mail
     routes, mail edges and aggregator partials; none of them has an entry
     of its own, since each receiver gathers its mail from the entries of
@@ -325,9 +361,9 @@ class Engine:
         # inline int addition, which is exact in any order
         arrival = {name: c.pushdown_eligible or c.fold == "add"
                    for name, c in workload.contracts.items()}
-        tracked = set(self.track_inbound)
-        # per tracked agent: (sender, array index) per mail route, an
-        # aggregator's synthetic id as the sender of its partial
+        inbound = set(self.track_inbound)
+        # per agent whose inbound mail is counted: (sender, array index) per
+        # mail route, an aggregator's synthetic id as the sender of its partial
         self._senders: dict[int, tuple[tuple[int, int], ...]] = {}
         partition_of = self.partition_of
         mailed: list[int] = []  # the sender of every mail edge
@@ -361,7 +397,7 @@ class Engine:
                 crossed += [s for s in mail if partition_of[s] != pid]
                 aggs = aggs_of.get(a, [])
                 sources = mail + aggs
-                if a in tracked:
+                if a in inbound:
                     ids = [self.aggregators[k - n].ref.synthetic_id for k in aggs]
                     self._senders[a] = tuple(zip(mail + ids, sources))
                 if sources:
@@ -389,11 +425,23 @@ class Engine:
         shape_of = {}  # per key: its kernel shape, and whether rows pack their reads
         for key, count in Counter(key_of).items():
             compute, arity, receiving, sending = key
+            c = workload.contracts[compute]
             # a key with more reads than agents keeps each row's reads as one tuple
             pack = arity > count
-            shape_of[key] = (None if pack else arity, workload.contracts[compute].fold == "add",
-                             receiving, sending), pack
+            tracked = not (receiving or sending) and _kernel_texts(c)[0] is not None
+            shape_of[key] = (None if pack else arity, c.fold == "add",
+                             receiving, sending, tracked), pack
 
+        # the active set: tracked rows hold positions in one mask, in run
+        # order; a tracked agent a has its row at position pos[a], and
+        # wake[a] lists the positions of the tracked rows that read it
+        self.tracked_rows = 0
+        self._pos: list[int] = []
+        self._wake: list[list[int] | None] = []
+        if any(shape[4] for shape, _ in shape_of.values()):
+            self._pos = [0] * n
+            self._wake = [[] if shape_of[key][0][4] else None for key in key_of]
+        always = bytearray()  # the rows that read an untracked agent run every round
         self.programs: list[list[tuple]] = []
         for order in orders:
             groups: dict[tuple, list] = {}
@@ -413,14 +461,38 @@ class Engine:
                 # a fused kernel runs its texts in the scope of the contract's callables
                 scope = globals() if texts[0] is None else {
                     **c.update_state.__globals__, "_present": _present}
-                kernel = FunctionType(_make_kernel(shape_of[key][0], *texts), scope)
+                shape = shape_of[key][0]
+                kernel = FunctionType(_make_kernel(shape, *texts), scope)
+                span = None
+                if shape[4]:
+                    span = slice(self.tracked_rows, self.tracked_rows + len(rows))
+                    self._track(rows, row_of, always)
                 program.append((kernel, tuple(rows), c.partial_compute,
-                                c.update_state, c.state_to_message))
+                                c.update_state, c.state_to_message, span))
             self.programs.append(program)
+        self._always = bytes(always)
 
         # merged but uncached partitions tag each cross message with a header
         passes = plans[0].passes if plans else frozenset()
         self.cross_header = "merge" in passes and "cache" not in passes
+
+    def _track(self, rows: list[tuple], row_of: list[tuple], always: bytearray) -> None:
+        """Give a tracked group's rows the next mask positions, each in the
+        wake lists of the agents it reads; a row that reads an untracked
+        agent, whose changes nothing records, runs every round."""
+        pos, wake = self._pos, self._wake
+        for p, row in enumerate(rows, self.tracked_rows):
+            a = row[0]
+            pos[a] = p
+            untracked = False
+            for src in row_of[a][1:]:
+                readers = wake[src]
+                if readers is None:
+                    untracked = True
+                else:
+                    readers.append(p)
+            always.append(untracked)
+        self.tracked_rows += len(rows)
 
     # -- execution ------------------------------------------------------------
 
@@ -444,16 +516,41 @@ class Engine:
         clean = self._scans and None not in prev
 
         steps = [step for program in self.programs for step in program]
+        pos, wake, tracked = self._pos, self._wake, self.tracked_rows
+        # the positions a change of agent a marks: its own and its readers'
+        fan = [1 + len(readers) if readers is not None else 0 for readers in wake]
+        untracked = n - tracked
+        mask = None  # the tracked rows that run; None: all of them
+        changed: list[int] = []  # the tracked agents whose state changed
         for _ in range(rounds):
             t0 = time.perf_counter()
             counter = [0, 0]  # logical, cross-partition
-            for kernel, table, pc, up, sm in steps:
-                kernel(table, prev, nxt, values, counter, pc, up, sm, clean)
+            for kernel, table, pc, up, sm, span in steps:
+                if span is None:
+                    kernel(table, prev, nxt, values, counter, pc, up, sm, clean)
+                else:
+                    rows = table if mask is None else compress(table, mask[span])
+                    kernel(rows, prev, nxt, values, changed, pc, up, sm, clean)
+            metrics.active_per_round.append(
+                n if mask is None else untracked + mask.count(1))
 
             # barrier: aggregator partials into their entries; an array
             # without None spares the next round's kernels their None scans
             folded = self._fold_aggregates(nxt)
             clean = self._scans and None not in nxt
+            # a changed agent wakes itself and its tracked readers; a skipped
+            # agent's message is already in both arrays.  Where the wakes
+            # number at least the tracked rows, every row runs
+            if tracked:
+                if sum(map(fan.__getitem__, changed)) >= tracked:
+                    mask = None
+                else:
+                    mask = bytearray(self._always)
+                    for a in changed:
+                        mask[pos[a]] = 1
+                        for p in wake[a]:
+                            mask[p] = 1
+                changed.clear()
 
             # one wire unit per directed cache per round, plus one per
             # dynamic/aggregated cross-partition message

@@ -113,6 +113,17 @@ def test_setup_columns_follow_checksum(tmp_path):
         assert float(cells[names.index(column)]) >= 0.0
 
 
+def test_active_fraction_column():
+    """gol's tracked group skips agents at a fixed point; economics has no
+    tracked group, so it runs every agent every round."""
+    def active(row) -> float:
+        return float(row.as_csv().split(",")[COLUMNS.index("active_fraction")])
+
+    assert 0 < active(run(small_config(rounds=30))) < 1
+    assert active(run(small_config(workload="economics", rounds=5))) == 1
+    assert run(small_config(rounds=0)).as_csv().split(",")[COLUMNS.index("active_fraction")] == ""
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("wave_speed=3\n")

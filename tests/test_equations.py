@@ -137,15 +137,31 @@ GOL_MESSAGE = "1 if s else 0"
     ("u = 1\ns = u", "u", {"u": 2}),
     ("s = not s", GOL_MESSAGE, {"sum": len}),
     ("s = (", GOL_MESSAGE, {}),
+    ("if f:\n    last = f\ns = last", GOL_MESSAGE, {}),
+    ("for j in range(2):\n    last = j\ns = last", GOL_MESSAGE, {}),
+    ("was = s", GOL_MESSAGE, {}),
 ], ids=[*(f"assigns-{name}" for name in ("a", "prev", "nxt", "values", "f", "ms", "k", "i3")),
         "loops-over-x", "returns", "yields", "global", "message-statement",
         "message-walrus", "message-reads-f", "update-reads-ms", "message-reads-update-local", "env-shadows-sum",
-        "update-syntax"])
+        "update-syntax", "reads-local-unset-on-a-branch", "reads-local-bound-only-in-a-loop",
+        "assigns-tracked-kernel-local"])
 def test_rule_text_rejected(update, message, env):
     """A text that would compute something else when spliced into a
     kernel, or that is not a text of its kind, raises at build time."""
     with pytest.raises(ContractError):
         rule_from_text(update, message, env)
+
+
+@pytest.mark.parametrize("update", [
+    "if f:\n    last = f\nelse:\n    last = 0\ns = last",
+    "if f is None:\n    raise ValueError(f)\nelse:\n    last = f\ns = last",
+    "if (last := f) is not None:\n    s = last",
+    "last = 0\nfor j in range(2):\n    last += j\ns = last",
+    "s = sum([j for j in (f or ())])",
+], ids=["both-branches", "other-branch-raises", "walrus", "bound-before-loop", "comprehension"])
+def test_rule_text_reading_an_assigned_local_accepted(update):
+    """The definite-assignment walk accepts a local every path assigns."""
+    rule_from_text(update, GOL_MESSAGE, {})
 
 
 def test_rule_text_callables_carry_normalized_text():

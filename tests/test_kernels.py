@@ -22,10 +22,17 @@ from collections import Counter
 
 import pytest
 
+from fuseforge.equations import rule_from_text
 from fuseforge.graphgen import erm, partition_greedy
 from fuseforge.optimizer import MODE_PASSES, default_pipeline
 from fuseforge.runtime import Engine
-from fuseforge.workloads import build_epidemics, build_gol, build_pagerank, state_checksum
+from fuseforge.workloads import (
+    build_economics,
+    build_epidemics,
+    build_gol,
+    build_pagerank,
+    state_checksum,
+)
 from interpreter import Interpreter, resolve
 from test_differential import WORKLOADS as DIFFERENTIAL_WORKLOADS
 from test_differential import drop_a_third_of_marks, partitionings, valid_pass_subsets
@@ -148,3 +155,72 @@ def test_engines_share_compiled_kernels():
     first, second = ([kernel.__code__ for program in Engine(wl, plans).programs
                       for kernel, *_ in program] for _ in range(2))
     assert first and all(a is b for a, b in zip(first, second, strict=True))
+
+
+def full_plans(wl, agents_per_partition):
+    return default_pipeline(partition_greedy(wl.graph, agents_per_partition, 0), wl.equations,
+                            wl.static_marks, MODE_PASSES["full"], contracts=wl.contracts,
+                            pushdown_targets=wl.pushdown_targets)
+
+
+def test_glider_runs_only_its_neighbourhood():
+    """A glider on a 16x16 torus changes five cells a round, so after round
+    0 the tracked group runs only the rows around it, and the run observes
+    what the interpreted loop does."""
+    side, rounds = 16, 60
+    glider = {1, side + 2, 2 * side, 2 * side + 1, 2 * side + 2}
+    wl = build_gol(side, side, initial_alive=glider)
+    plans = full_plans(wl, 64)
+    track = (0, wl.graph.vertex_count - 1)
+    engine = Engine(wl, plans, track)
+    assert engine.tracked_rows == wl.graph.vertex_count
+    result = engine.run(rounds)
+    assert observe(wl, result) == observe(wl, Interpreter(wl, plans, track).run(rounds))
+    active = result[1].active_per_round
+    assert len(active) == rounds and active[0] == side * side
+    assert sum(active) / rounds / (side * side) < 0.2
+    # a glider returns to its shape, moved one cell diagonally, every 4 rounds
+    moved = {(a // side + rounds // 4) % side * side + (a % side + rounds // 4) % side
+             for a in glider}
+    assert {a for a, v in result[0].agent_values.items() if v} == moved
+
+
+def test_a_state_that_never_settles_runs_every_row():
+    """A gol whose state also counts its steps changes every agent every
+    round, so each round's changes would mark more entries than there are
+    tracked rows: every round runs every row, and the run observes what
+    the interpreted loop does."""
+    update, message = rule_from_text("""
+        if f is not None:
+            s = (s[0] + 1, f == 3 or (s[1] and f == 2))
+        """, "1 if s[1] else 0", {})
+    gol = build_gol(10, 10, seed=4)
+    wl = dataclasses.replace(
+        gol, contracts={"gol": dataclasses.replace(gol.contracts["gol"], value_type="tuple",
+                                                   update_state=update,
+                                                   state_to_message=message)},
+        initial_values={a: (0, v) for a, v in gol.initial_values.items()})
+    plans = full_plans(wl, 25)
+    engine = Engine(wl, plans)
+    assert engine.tracked_rows == 100
+    (state, metrics), (want, want_metrics) = engine.run(ROUNDS), Interpreter(wl, plans).run(ROUNDS)
+    assert state.agent_values == want.agent_values
+    assert metrics.wire_units_per_round == want_metrics.wire_units_per_round
+    assert metrics.active_per_round == [100] * ROUNDS
+    assert {a for a, (_, alive) in state.agent_values.items() if alive} == {
+        a for a, alive in Engine(gol, plans).run(ROUNDS)[0].agent_values.items() if alive}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_economics(33, seed=5),
+    lambda: build_pagerank(erm(40, 0.15, 0)),
+], ids=["economics", "pagerank"])
+def test_untracked_engines_build_no_active_set(build):
+    """Contracts whose callables carry no text are never tracked: the engine
+    builds no mask or wake lists and runs every agent every round."""
+    wl = build()
+    engine = Engine(wl, full_plans(wl, 10))
+    assert engine.tracked_rows == 0 and not engine._wake and not engine._pos
+    assert all(step[-1] is None for program in engine.programs for step in program)
+    n = wl.graph.vertex_count
+    assert engine.run(ROUNDS)[1].active_per_round == [n] * ROUNDS

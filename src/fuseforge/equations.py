@@ -11,32 +11,23 @@ from __future__ import annotations
 import ast
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from textwrap import dedent, indent
 from types import CodeType
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ContractError
 
 
-@dataclass(frozen=True, slots=True)
-class StateRef:
+class StateRef(NamedTuple):
     """Reference to an agent's state, optionally pinned to a superstep.
 
-    The hash is computed once, at construction.  Workloads share one
-    reference per agent, so set and dict lookups of a reference match by
-    identity before any ``__eq__`` runs.
+    A tuple, so hashing and equality run in C; a reference equals the
+    plain tuple of its fields.
     """
 
     agent_id: int
     generation: int | None = None
-    _hash: int = field(init=False, compare=False, repr=False, default=0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.agent_id, self.generation)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         if self.generation is None:
@@ -111,23 +102,21 @@ def rule_from_text(update: str, message: str, env: dict[str, object]) -> tuple[C
     Any other name they read comes from ``env`` or the builtins.  Each
     callable carries its text, normalized, as ``text``, and the engine
     splices the two texts into its generated kernels in place of calling
-    them, so a text must mean the same there: the update may not
-    ``return``, ``yield``, declare a name ``global`` or ``nonlocal``, or bind
-    a name a kernel binds or reads other than ``s``; the message may not
-    contain ``:=`` or ``yield``; neither may read a name a kernel binds
-    other than ``s`` (and the update's ``f``), nor may the message read one
-    the update binds; the update may not read a local on a path that has
-    not assigned it, which in a kernel would hold the value of whichever
-    agent ran before; and ``env`` may name nothing a kernel uses.  A text
-    that breaks a rule raises ``ContractError``.
+    them, so a text must mean the same there.  A kernel's own names all
+    start with ``_``, apart from ``s`` and ``f``, so neither text may use a
+    name that starts with ``_``, and ``env`` may not name one.  The update
+    may not ``return``, ``yield``, declare a name ``global`` or
+    ``nonlocal``, or bind ``f``; the message may not contain ``:=`` or
+    ``yield``, or read ``f`` or a name the update binds; and the update may
+    not read a local on a path that has not assigned it, which in a kernel
+    would hold the value of whichever agent ran before.  A text that breaks
+    a rule raises ``ContractError``.
 
     Not checked: both texts must be deterministic functions of ``s``, ``f``
     and ``env``, and the update must leave a state it changes in a new
     object rather than change ``s`` in place, since the engine skips an
     agent whose state object and inputs did not change (see ``runtime``).
     """
-    from .runtime import kernel_use  # runtime imports this module
-
     update_tree = _parse(update, "exec", "update")
     message_tree = _parse(message, "eval", "message")
     for tree, banned, what in ((update_tree, _UPDATE_BANS, "update"),
@@ -142,16 +131,18 @@ def rule_from_text(update: str, message: str, env: dict[str, object]) -> tuple[C
     [probe] = [c for c in _compile(f"def rule():\n{indent(update, '    ')}\n    pass\n",
                                    "update").co_consts if isinstance(c, CodeType)]
     bound = set(probe.co_varnames) | set(probe.co_cellvars)
-    clashes = [f"update binds {name!r}" for name in sorted(bound - {"s"}) if kernel_use(name)]
-    # in the kernel the message also sees the update's locals
-    for tree, own, what in ((update_tree, bound | {"f"}, "update"), (message_tree, set(), "message")):
-        read = {node.id for node in ast.walk(tree)
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-        clashes += [f"{what} reads {name!r}" for name in sorted(read - own - {"s"})
-                    if kernel_use(name) == "binds" or name in bound]
-    clashes += [f"env names {name!r}" for name in sorted(env) if kernel_use(name)]
+    # the kernels own every name that starts with "_", so no text may use one
+    names = {"update": bound | _names(update_tree, ast.expr_context),
+             "message": _names(message_tree, ast.expr_context), "env": set(env)}
+    clashes = [f"{what} uses {name!r}" for what, used in names.items()
+               for name in sorted(used) if name.startswith("_")]
+    if "f" in bound:
+        clashes.append("update binds 'f'")
+    # in the kernel the message also sees the fold and the update's locals
+    clashes += [f"message reads {name!r}"
+                for name in sorted(_names(message_tree, ast.Load) & (bound | {"f"}) - {"s"})]
     if clashes:
-        raise ContractError(f"rule text uses names of the generated kernel: {'; '.join(clashes)}")
+        raise ContractError(f"rule text clashes with the generated kernel: {'; '.join(clashes)}")
     walk = _Assigned(bound - {"s"})
     walk.block(update_tree.body, frozenset())
     if walk.unset:
@@ -277,7 +268,8 @@ def _join(*paths: frozenset | None) -> frozenset | None:
 
 
 def _names(node: ast.AST, ctx: type = ast.Store) -> frozenset:
-    """The plain names ``node`` binds (or, with ``ast.Del``, deletes)."""
+    """The plain names ``node`` binds (or, with ``ast.Load``, reads, with
+    ``ast.Del``, deletes, and with ``ast.expr_context``, uses at all)."""
     return frozenset(n.id for n in ast.walk(node) if isinstance(n, ast.Name)
                      and isinstance(n.ctx, ctx))
 

@@ -49,21 +49,22 @@ and runs each group with one generated Python function over a constant
 table.  A row of the table is ``(a, i0, .., ik)``: the agent and the array
 indices of its reads, in ascending source order, followed by its gather
 ``g`` when it receives mail and by its mail-edge and cross-partition edge
-counts when it sends mail.  The kernel's loop is ``f = fold(prev[i0], ..,
-prev[ik], *g(prev)); s = update(values[a], f); values[a] = s; nxt[a] =
-state_to_message(s)``.  A contract that declares ``fold="add"`` folds its
+counts when it sends mail.  The kernel's loop, written here without the
+``_`` that starts each of its own names, is ``f = fold(prev[i0], ..,
+prev[ik], *g(prev)); s = values[a]; <update text>; values[a] = s; nxt[a] =
+(<message text>)``.  A contract that declares ``fold="add"`` folds its
 reads with an inline ``+`` expression, falling back to ``partial_compute``
 over the messages actually sent when one of them is None, and adds the
 ``sum`` of its mail; every other contract calls ``partial_compute`` on one
 list.  Fused kernels: where a contract's ``update_state`` and
 ``state_to_message`` were compiled from text by ``rule_from_text`` (gol and
-epidemics), the kernel runs ``s = values[a]``, then the update text, and
-writes the message expression's value, instead of making two calls per
-agent, and it runs in the callables' scope; a contract whose callables
-carry no text (trader, market, PageRank, or any callable replaced, say by a
-counting wrapper) keeps the calls.  Generated code depends only on the
-group's shape and texts, so groups of one shape and texts share one code
-object, compiled once per process.  A key whose read
+epidemics), the kernel runs those texts in the callables' scope; a
+contract whose callables carry no text (trader, market, PageRank, or any
+callable replaced, say by a counting wrapper) runs ``s = _up(s, f)`` and
+``_sm(s)``.  The kernel's own names start with ``_``, which rule texts may
+not use, so a text cannot capture or shadow them.  Generated code depends
+only on the group's shape and texts, so groups of one shape and texts share
+one code object, compiled once per process.  A key whose read
 arity exceeds the number of agents sharing it (a hub) keeps each row's
 reads as one tuple instead of unpacking them, so the generated code stays
 linear in the number of agents; an order-sensitive fold of reads and mail
@@ -98,12 +99,11 @@ for any merged-order permutation.
 
 from __future__ import annotations
 
-import re
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress, product
+from itertools import compress
 from operator import itemgetter
 from types import CodeType, FunctionType
 
@@ -163,97 +163,97 @@ def _gather(indices: list[int]) -> itemgetter:
 
 
 def _kernel_source(arity: int | None, add: bool, mail: bool, sends: bool, tracked: bool,
-                   update: str | None = None, message: str | None = None) -> str:
+                   update: str, message: str) -> str:
     """Python source of the kernel for one group shape.
 
-    ``arity`` None means each row holds its reads as one tuple ``I``.
-    ``mail`` means each row also has a gather ``g``, whose messages
-    ``g(prev)`` are folded after the reads in gather order; the kernel scans
-    them for None unless ``clean`` says the array holds none.  ``sends``
-    means each row also has its mail-edge count ``k`` and the count ``x`` of
-    those edges that cross partitions.  ``update`` and ``message`` are a
-    contract's texts (see ``equations.rule_from_text``), spliced in place of
-    the calls ``up(values[a], f)`` and ``sm(s)``.  ``tracked`` (a group
-    without mail) means the kernel stores an agent's value only when its
-    state object changed, and appends each such agent to ``changed``.
+    Each name the kernel binds or reads starts with ``_``, bar ``s`` and
+    ``f``.  ``arity`` None means each row holds its reads as one tuple
+    ``_I``.  ``mail`` means each row also has a gather ``_g``, whose
+    messages ``_g(_prev)`` are folded after the reads in gather order; the
+    kernel scans them for None unless ``_clean`` says the array holds none.
+    ``sends`` means each row also has its mail-edge count ``_k`` and the
+    count ``_x`` of those edges that cross partitions.  ``update`` and
+    ``message`` are a contract's texts (see ``equations.rule_from_text``),
+    or ``_CALLS``.  ``tracked`` (a group without mail) means the kernel
+    stores an agent's value only when its state object changed, and passes
+    each such agent to ``_mark``.
     """
     if arity is None:
-        row = ["a", "I"]
-        listed = "[prev[i] for i in I]"
+        row = ["_a", "_I"]
+        listed = "[_prev[_i] for _i in _I]"
     else:
-        idx = [f"i{j}" for j in range(arity)]
-        row = ["a", *idx]
-        listed = "[" + ", ".join(f"prev[{i}]" for i in idx) + "]"
+        idx = [f"_i{j}" for j in range(arity)]
+        row = ["_a", *idx]
+        listed = "[" + ", ".join(f"_prev[{i}]" for i in idx) + "]"
     if mail:
-        row.append("g")
+        row.append("_g")
     if sends:
-        row += ["k", "x"]
+        row += ["_k", "_x"]
 
     # the fold of the reads alone, into f
     if arity == 0:
         fold = ["f = None"]
     elif add and arity == 1:
-        fold = ["f = prev[i0]"]
+        fold = ["f = _prev[_i0]"]
     elif add and arity is not None:
         fold = ["try:",
-                f"    f = {_add_tree([f'prev[{i}]' for i in idx])}",
-                "except TypeError:",
-                f"    f = _present({listed}, pc)"]
+                f"    f = {_add_tree([f'_prev[{i}]' for i in idx])}",
+                "except _TypeError:",
+                f"    f = _present({listed}, _pc)"]
     else:
-        fold = [f"ms = {listed}",
-                "f = pc(ms) if None not in ms else _present(ms, pc)"]
+        fold = [f"_ms = {listed}",
+                "f = _pc(_ms) if None not in _ms else _present(_ms, _pc)"]
 
-    present = ["if not clean and None in ms:",
-               "    ms = [m for m in ms if m is not None]"]
+    present = ["if not _clean and None in _ms:",
+               "    _ms = [_m for _m in _ms if _m is not None]"]
     if not mail:
         body = fold
     elif add:
         # int addition is exact, so mail joins the sum in any order
         body = [*fold,
-                "ms = g(prev)",
+                "_ms = _g(_prev)",
                 *present,
-                "if ms:",
-                "    t = sum(ms)",
-                "    f = t if f is None else f + t"]
+                "if _ms:",
+                "    _t = _sum(_ms)",
+                "    f = _t if f is None else f + _t"]
     else:
-        gather = ["ms = g(prev)"] if arity == 0 else [f"ms = {listed}", "ms += g(prev)"]
-        body = [*gather, *present, "f = pc(ms) if ms else None"]
+        gather = ["_ms = _g(_prev)"] if arity == 0 else [f"_ms = {listed}", "_ms += _g(_prev)"]
+        body = [*gather, *present, "f = _pc(_ms) if _ms else None"]
 
     if tracked:
-        body += ["s = was = values[a]", *(update or "s = up(s, f)").splitlines(),
-                 "if s is not was:",
-                 "    values[a] = s",
-                 "    mark(a)"]
-    elif update is None:
-        body += ["s = up(values[a], f)", "values[a] = s"]
+        body += ["s = _was = _values[_a]", *update.splitlines(),
+                 "if s is not _was:",
+                 "    _values[_a] = s",
+                 "    _mark(_a)"]
     else:
-        body += ["s = values[a]", *update.splitlines(), "values[a] = s"]
-    out = "sm(s)" if message is None else f"({message})"
+        body += ["s = _values[_a]", *update.splitlines(), "_values[_a] = s"]
     if sends:
-        body += [f"out = {out}",
-                 "nxt[a] = out",
-                 "if out is not None:",
-                 "    logical += k",
-                 "    crossed += x"]
+        body += [f"_out = ({message})",
+                 "_nxt[_a] = _out",
+                 "if _out is not None:",
+                 "    _logical += _k",
+                 "    _crossed += _x"]
     else:
-        body += [f"nxt[a] = {out}"]
+        body += [f"_nxt[_a] = ({message})"]
 
-    if tracked:
-        lines = ["def kernel(T, prev, nxt, values, changed, pc, up, sm, clean):",
-                 "    mark = changed.append"]
-    else:
-        lines = ["def kernel(T, prev, nxt, values, counter, pc, up, sm, clean):"]
+    lines = ["def kernel(_T, _prev, _nxt, _values, _counter, _mark, _clean, _pc, _up, _sm):"]
     if sends:
-        lines.append("    logical = crossed = 0")
-    lines.append(f"    for {', '.join(row)}{',' if len(row) == 1 else ''} in T:")
+        lines.append("    _logical = _crossed = 0")
+    lines.append(f"    for {', '.join(row)}{',' if len(row) == 1 else ''} in _T:")
     lines += ["        " + line for line in body]
     if sends:
-        lines += ["    counter[0] += logical", "    counter[1] += crossed"]
+        lines += ["    _counter[0] += _logical", "    _counter[1] += _crossed"]
     return "\n".join(lines) + "\n"
 
 
+# the texts spliced for callables that carry none: they call them
+_CALLS = ("s = _up(s, f)", "_sm(s)")
+# the globals a kernel reads, beside the texts' own
+_GLOBALS = {"_present": _present, "_sum": sum, "_TypeError": TypeError}
+
+
 @lru_cache(maxsize=64)
-def _make_kernel(shape: tuple, update: str | None = None, message: str | None = None) -> CodeType:
+def _make_kernel(shape: tuple, update: str, message: str) -> CodeType:
     """The kernel code of one group shape and pair of texts; they recur
     across engines, and each compile costs about half a millisecond."""
     source = _kernel_source(*shape, update, message)
@@ -262,41 +262,14 @@ def _make_kernel(shape: tuple, update: str | None = None, message: str | None = 
     return code
 
 
-@lru_cache(maxsize=1)
-def _kernel_names() -> tuple[frozenset[str], frozenset[str]]:
-    """The names the kernels of every shape bind, parameters included, and
-    the globals they read."""
-    bound: set[str] = set()
-    read: set[str] = set()
-    for shape in product((None, 0, 1, 2), *[(False, True)] * 4):
-        if shape[4] and (shape[2] or shape[3]):
-            continue  # a tracked group has no mail
-        code = _make_kernel.__wrapped__(shape)  # uncached: these shapes need not run
-        bound.update(code.co_varnames)
-        read.update(code.co_names)
-    return frozenset(bound), frozenset(read)
-
-
-def kernel_use(name: str) -> str | None:
-    """How some kernel uses ``name``: ``"binds"`` it (a parameter, a row
-    field such as the read index ``i<N>`` of any arity, or a local),
-    ``"reads"`` it as a global, or None.  A spliced text that rebinds a
-    kernel's name, or an environment that shadows one, would change what
-    the kernel computes."""
-    bound, read = _kernel_names()
-    if name in bound or re.fullmatch(r"i\d+", name):
-        return "binds"
-    return "reads" if name in read else None
-
-
-def _kernel_texts(c: ComputeMethodContract) -> tuple[str, str] | tuple[None, None]:
+def _kernel_texts(c: ComputeMethodContract) -> tuple[str, str] | None:
     """The contract's update and message texts where both callables carry
     them from one scope; a contract whose callables were replaced, for
     instance by counting wrappers, keeps its calls."""
     up, sm = c.update_state, c.state_to_message
     update, message = getattr(up, "text", None), getattr(sm, "text", None)
     if update is None or message is None or up.__globals__ is not sm.__globals__:
-        return None, None
+        return None
     return update, message
 
 
@@ -304,13 +277,14 @@ class Engine:
     """Compiled program: each partition is a list of kernel steps.
 
     ``programs[p]`` holds partition p's steps in the order they run, each
-    ``(kernel, table, partial_compute, update_state, state_to_message,
-    span)``.  One step covers the partition's agents of one contract, read
-    arity and mail shape.  Every agent the partition runs is in exactly one
-    row of one table.  ``span`` is None for an untracked group, and a
-    tracked group's slice of the active-set mask otherwise; the mask has
-    ``tracked_rows`` entries.  The message array has ``n + len(aggregators)`` entries:
-    aggregator k's partial is entry ``n + k``.  ``routes`` counts the mail
+    ``(kernel, table, span)``.  One step covers the partition's agents of
+    one contract, read arity and mail shape, and its kernel holds the
+    contract's callables as argument defaults, so every kernel takes the
+    same arguments.  Every agent the partition runs is in exactly one row
+    of one table.  ``span`` is None for an untracked group, and a tracked
+    group's slice of the active-set mask otherwise; the mask has
+    ``tracked_rows`` entries.  The message array has ``n +
+    len(aggregators)`` entries: aggregator k's partial is entry ``n + k``.  ``routes`` counts the mail
     routes, mail edges and aggregator partials; none of them has an entry
     of its own, since each receiver gathers its mail from the entries of
     its senders and aggregators.
@@ -428,7 +402,7 @@ class Engine:
             c = workload.contracts[compute]
             # a key with more reads than agents keeps each row's reads as one tuple
             pack = arity > count
-            tracked = not (receiving or sending) and _kernel_texts(c)[0] is not None
+            tracked = not (receiving or sending) and _kernel_texts(c) is not None
             shape_of[key] = (None if pack else arity, c.fold == "add",
                              receiving, sending, tracked), pack
 
@@ -459,16 +433,15 @@ class Engine:
                 c = self.contract_of[rows[0][0]]
                 texts = _kernel_texts(c)
                 # a fused kernel runs its texts in the scope of the contract's callables
-                scope = globals() if texts[0] is None else {
-                    **c.update_state.__globals__, "_present": _present}
+                scope = {**c.update_state.__globals__, **_GLOBALS} if texts else _GLOBALS
                 shape = shape_of[key][0]
-                kernel = FunctionType(_make_kernel(shape, *texts), scope)
+                kernel = FunctionType(_make_kernel(shape, *(texts or _CALLS)), scope, None,
+                                      (c.partial_compute, c.update_state, c.state_to_message))
                 span = None
                 if shape[4]:
                     span = slice(self.tracked_rows, self.tracked_rows + len(rows))
                     self._track(rows, row_of, always)
-                program.append((kernel, tuple(rows), c.partial_compute,
-                                c.update_state, c.state_to_message, span))
+                program.append((kernel, tuple(rows), span))
             self.programs.append(program)
         self._always = bytes(always)
 
@@ -522,15 +495,14 @@ class Engine:
         untracked = n - tracked
         mask = None  # the tracked rows that run; None: all of them
         changed: list[int] = []  # the tracked agents whose state changed
+        mark = changed.append
         for _ in range(rounds):
             t0 = time.perf_counter()
             counter = [0, 0]  # logical, cross-partition
-            for kernel, table, pc, up, sm, span in steps:
-                if span is None:
-                    kernel(table, prev, nxt, values, counter, pc, up, sm, clean)
-                else:
-                    rows = table if mask is None else compress(table, mask[span])
-                    kernel(rows, prev, nxt, values, changed, pc, up, sm, clean)
+            for kernel, table, span in steps:
+                if span is not None and mask is not None:
+                    table = compress(table, mask[span])
+                kernel(table, prev, nxt, values, counter, mark, clean)
             metrics.active_per_round.append(
                 n if mask is None else untracked + mask.count(1))
 

@@ -19,13 +19,15 @@ from __future__ import annotations
 import dataclasses
 import dis
 from collections import Counter
+from itertools import product
+from types import CodeType
 
 import pytest
 
 from fuseforge.equations import rule_from_text
 from fuseforge.graphgen import erm, partition_greedy
 from fuseforge.optimizer import MODE_PASSES, default_pipeline
-from fuseforge.runtime import Engine
+from fuseforge.runtime import Engine, _make_kernel
 from fuseforge.workloads import (
     build_economics,
     build_epidemics,
@@ -92,10 +94,10 @@ def test_kernels_match_the_interpreted_loop(workload, dynamic):
 
 
 def calls_made(engine) -> set[str]:
-    """Which of the contract callables ``up`` and ``sm`` the engine's
+    """Which of the contract callables ``_up`` and ``_sm`` the engine's
     kernels load: a fused kernel runs their texts instead."""
     return {ins.argval for program in engine.programs for kernel, *_ in program
-            for ins in dis.get_instructions(kernel) if ins.argval in ("up", "sm")}
+            for ins in dis.get_instructions(kernel) if ins.argval in ("_up", "_sm")}
 
 
 def test_gol_full_compiles_one_kernel_per_group_key():
@@ -137,13 +139,67 @@ def test_wrapped_callables_are_not_bypassed(build, mode):
                              MODE_PASSES[mode], contracts=wl.contracts)
     track = (0, wl.graph.vertex_count - 1)
     fused, called = Engine(wl, plans, track), Engine(wrapped, plans, track)
-    assert calls_made(fused) == set() and calls_made(called) == {"up", "sm"}
+    assert calls_made(fused) == set() and calls_made(called) == {"_up", "_sm"}
     want = observe(wl, fused.run(ROUNDS))
     calls.clear()
     got = observe(wl, called.run(ROUNDS))
     n = wl.graph.vertex_count
     assert calls == {"update": n * ROUNDS, "message": n * (ROUNDS + 1)}  # superstep 0 seeds
     assert got == want
+
+
+def test_kernels_own_the_underscored_names():
+    """Every kernel shape the generator emits binds and reads only ``s``,
+    ``f`` and names that start with ``_``, which ``rule_from_text`` keeps
+    out of rule texts and their environments, so no accepted text can
+    capture or shadow a kernel's name."""
+    shapes = [shape for shape in product((None, 0, 1, 2), *[(False, True)] * 4)
+              if not (shape[4] and (shape[2] or shape[3]))]  # a tracked group has no mail
+    assert len(shapes) == 40
+    for shape in shapes:
+        codes = [_make_kernel(shape, "s = _up(s, f)", "_sm(s)")]
+        for code in codes:  # the kernel and the comprehensions nested in it
+            codes += [c for c in code.co_consts if isinstance(c, CodeType)]
+        names = {name for code in codes for name in
+                 (*code.co_varnames, *code.co_cellvars, *code.co_freevars, *code.co_names)}
+        # a comprehension's iterator ``.0`` is no identifier a text could use
+        assert {name for name in names
+                if name.isidentifier() and not name.startswith("_")} <= {"s", "f"}, shape
+
+
+# texts that bind or read names the kernels used before they took the ``_``
+# namespace, or whose environment shadows a builtin a kernel calls
+CAPTURE_FREE_RULES = {
+    **{f"assigns-{name}": (f"{name} = f\nif {name} is not None:\n"
+                           f"    s = {name} == 3 or (s and {name} == 2)", {})
+       for name in ("a", "prev", "nxt", "values", "ms", "k", "i3")},
+    "assigns-tracked-kernel-local": ("if f is not None:\n"
+                                     "    s = f == 3 or (s and f == 2)\nwas = s", {}),
+    "loops-over-x": ("for x in range(2):\n    s = x", {}),
+    "update-reads-ms": ("s = ms", {"ms": False}),
+    "env-shadows-sum": (None, {"sum": len}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CAPTURE_FREE_RULES))
+def test_rule_text_the_kernel_cannot_capture_agrees(case):
+    """A gol rule whose text shares a name with the code the kernels used
+    to bind or call builds, and its fused kernels, tracked in ``full`` and
+    with mail in ``unopt``, observe what the interpreted loop does."""
+    update, env = CAPTURE_FREE_RULES[case]
+    gol = build_gol(10, 10, seed=4)
+    c = gol.contracts["gol"]
+    up, sm = rule_from_text(update or c.update_state.text, c.state_to_message.text, env)
+    wl = dataclasses.replace(gol, contracts={
+        "gol": dataclasses.replace(c, update_state=up, state_to_message=sm)})
+    track = (0, wl.graph.vertex_count - 1)
+    for mode in ("full", "unopt"):
+        plans = default_pipeline(partition_greedy(wl.graph, 25, 0), wl.equations,
+                                 wl.static_marks, MODE_PASSES[mode], contracts=wl.contracts)
+        engine = Engine(wl, plans, track)
+        assert calls_made(engine) == set()
+        assert (engine.tracked_rows > 0) == (mode == "full")
+        assert observe(wl, engine.run(ROUNDS)) == observe(wl, Interpreter(wl, plans, track).run(ROUNDS))
 
 
 def test_engines_share_compiled_kernels():

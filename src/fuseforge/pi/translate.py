@@ -51,9 +51,7 @@ YIELD = name("yield")
 
 
 def default_state_name(ref: StateRef) -> str:
-    if ref.generation is None:
-        return f"s{ref.agent_id}"
-    return f"s{ref.agent_id}g{ref.generation}"
+    return repr(ref)
 
 
 def state_channel(ref: StateRef, name_of: NameOf = default_state_name) -> Name:

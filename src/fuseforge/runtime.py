@@ -15,16 +15,17 @@ read) owns no storage either.  The message it carries is its sender's entry,
 None included, which is exactly what a per-edge copy written every round
 would hold, so each receiver gathers its mail from its senders' entries, and
 from its aggregators' partials, through one ``operator.itemgetter`` built at
-compile time.  A sender only counts its mail for the traffic metrics, from
-its mail-edge count and how many of those edges cross partitions.  The
-barrier folds the aggregator partials into their entries and then, where
-the mail routes number at least the array's entries, checks the whole array
-for None once, in C: in a round whose array holds none, the kernels do not
-scan their gathered lists for None.  With fewer routes the kernels' own
-scans cost less than the barrier's, so they always scan.  The array is
-seeded with each agent's initial-value message and the partials folded from
-them, so staged reads and mail at superstep 0 match message-passing mode
-exactly.
+compile time.  The barrier counts the traffic off the array too: each
+sender whose entry is not None ships all its mail edges, so a skipped
+sender (see Active sets), whose entry still holds its message, counts as
+if it had run.  The barrier folds the aggregator partials into their
+entries and then, where the mail routes number at least the array's
+entries, checks the whole array for None once, in C: in a round whose
+array holds none, every mail edge ships, and the kernels do not scan their
+gathered lists for None.  With fewer routes the kernels' own scans cost
+less than the barrier's, so they always scan.  The array is seeded with
+each agent's initial-value message and the partials folded from them, so
+staged reads and mail at superstep 0 match message-passing mode exactly.
 
 Mail order: a receiver's gather lists its sources in the order it folds
 them, the same in every round, superstep 0 included.  An order-sensitive
@@ -43,53 +44,46 @@ array entry, which nothing reads before the barrier, a partition's agents
 run grouped in any order.
 
 Kernels: the engine does not interpret plans per agent.  At compile time it
-groups each partition's agents by (contract, read arity, mail shape), the
-mail shape saying whether the agent receives mail and whether it sends mail,
-and runs each group with one generated Python function over a constant
-table.  A row of the table is ``(a, i0, .., ik)``: the agent and the array
-indices of its reads, in ascending source order, followed by its gather
-``g`` when it receives mail and by its mail-edge and cross-partition edge
-counts when it sends mail.  The kernel's loop, written here without the
-``_`` that starts each of its own names, is ``f = fold(prev[i0], ..,
-prev[ik], *g(prev)); s = values[a]; <update text>; values[a] = s; nxt[a] =
-(<message text>)``.  A contract that declares ``fold="add"`` folds its
-reads with an inline ``+`` expression, falling back to ``partial_compute``
-over the messages actually sent when one of them is None, and adds the
-``sum`` of its mail; every other contract calls ``partial_compute`` on one
-list.  Fused kernels: where a contract's ``update_state`` and
+groups each partition's agents by (contract, read arity, whether the agent
+receives mail) and runs each group with one generated Python function over
+a constant table.  A row of the table is ``(a, i0, .., ik)``: the agent and
+the array indices of its reads, in ascending source order, followed by its
+gather ``g`` when it receives mail.  A contract that declares ``fold="add"``
+folds its reads with an inline ``+`` expression, falling back to
+``partial_compute`` over the messages actually sent when one of them is
+None, and adds the ``sum`` of its mail; every other contract calls
+``partial_compute`` on one list.  Where a contract's ``update_state`` and
 ``state_to_message`` were compiled from text by ``rule_from_text`` (gol and
-epidemics), the kernel runs those texts in the callables' scope; a
-contract whose callables carry no text (trader, market, PageRank, or any
-callable replaced, say by a counting wrapper) runs ``s = _up(s, f)`` and
-``_sm(s)``.  The kernel's own names start with ``_``, which rule texts may
-not use, so a text cannot capture or shadow them.  Generated code depends
-only on the group's shape and texts, so groups of one shape and texts share
-one code object, compiled once per process.  A key whose read
-arity exceeds the number of agents sharing it (a hub) keeps each row's
-reads as one tuple instead of unpacking them, so the generated code stays
-linear in the number of agents; an order-sensitive fold of reads and mail
-has read arity 0, since its getter holds both.
+epidemics), the kernel is fused: its loop, written here without the ``_``
+that starts each of its own names, is ``f = fold(prev[i0], .., prev[ik],
+*g(prev)); s = was = values[a]; <update text>; if s is not was: values[a]
+= s; mark(a)``, then ``nxt[a] = (<message text>)``, in the callables'
+scope.  Otherwise (trader, market, PageRank, or any callable replaced, say
+by a counting wrapper) it calls them: ``s = values[a] = up(values[a], f);
+nxt[a] = sm(s)``.  Rule texts may not use the ``_`` names, so a text cannot
+capture or shadow them.  Groups of one shape and texts share one code
+object, compiled once per process.  A key whose read arity exceeds the
+number of agents sharing it (a hub) keeps each row's reads as one tuple
+instead of unpacking them, so the generated code stays linear in the
+number of agents; an order-sensitive fold of reads and mail has read arity
+0, since its getter holds both.
 
-Active sets: a fused group without mail (gol, and epidemics in every mode
-that stages all its reads) is tracked.  Every update is a deterministic
+Active sets: every fused group is tracked.  Every update is a deterministic
 function of the state and the fold, so an agent whose state did not change
-in round t-1, and none of whose sources changed, keeps its state in round
-t: it is skipped.  A tracked kernel runs only the rows of its table marked
-in a byte mask kept in run order (``itertools.compress`` over the table and
-its slice of the mask), stores an agent's value only when the update
-returned another state object, and records those agents.  At the barrier
-each of them marks its own row and the tracked rows that read it for the
-next round; a row that reads an untracked agent, whose changes nothing
-records, is marked every round.  A skipped agent writes nothing: both
-message arrays already hold its message, since it ran, and wrote it, in
-the round after its last change.  So aggregator partials, mail gathered
-from its entry, traffic counts and inbound counts read what a run without
-skipping would.  Round 0 runs every row, and where a round's changed agents
-would mark at least as many entries as there are tracked rows, the next
-round runs every row and nothing is marked.  Groups with mail, and groups
-whose callables carry no text (trader, market, PageRank, or any wrapped
-callable), are not tracked, and an engine without a tracked group builds
-no mask.
+in round t-1, and none of whose sources (reads and mail senders alike)
+changed, keeps its state in round t: it is skipped.  A tracked kernel runs
+only the rows of its table marked in a byte mask kept in run order
+(``itertools.compress`` over the table and its slice of the mask), and
+records the agents whose update returned another state object.  At the
+barrier each of them marks its own row and the tracked rows that read it
+or gather its mail; a row with a source whose changes nothing records (an
+untracked agent or an aggregator partial) is marked every round.  A
+skipped agent writes nothing: both message arrays already hold its
+message, since it ran, and wrote it, in the round after its last change,
+so partials, gathered mail, traffic and inbound counts read what a run
+without skipping would.  Round 0 runs every row, and so does any round
+after one whose changed agents would mark at least as many entries as
+there are tracked rows.
 
 Determinism: every fold consumes its inputs in an order fixed at compile
 time, per-agent RNG streams live inside agent values, and each partition
@@ -103,8 +97,8 @@ import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import is_not, itemgetter
 from types import CodeType, FunctionType
 
 from .equations import ComputeMethodContract
@@ -162,8 +156,8 @@ def _gather(indices: list[int]) -> itemgetter:
     return itemgetter(*indices)
 
 
-def _kernel_source(arity: int | None, add: bool, mail: bool, sends: bool, tracked: bool,
-                   update: str, message: str) -> str:
+def _kernel_source(arity: int | None, add: bool, mail: bool,
+                   texts: tuple[str, str] | None) -> str:
     """Python source of the kernel for one group shape.
 
     Each name the kernel binds or reads starts with ``_``, bar ``s`` and
@@ -171,12 +165,10 @@ def _kernel_source(arity: int | None, add: bool, mail: bool, sends: bool, tracke
     ``_I``.  ``mail`` means each row also has a gather ``_g``, whose
     messages ``_g(_prev)`` are folded after the reads in gather order; the
     kernel scans them for None unless ``_clean`` says the array holds none.
-    ``sends`` means each row also has its mail-edge count ``_k`` and the
-    count ``_x`` of those edges that cross partitions.  ``update`` and
-    ``message`` are a contract's texts (see ``equations.rule_from_text``),
-    or ``_CALLS``.  ``tracked`` (a group without mail) means the kernel
-    stores an agent's value only when its state object changed, and passes
-    each such agent to ``_mark``.
+    ``texts`` are a contract's update and message texts (see
+    ``equations.rule_from_text``): the kernel runs them, stores an agent's
+    value only when its state object changed, and passes each such agent to
+    ``_mark``.  ``texts`` None means the kernel calls ``_up`` and ``_sm``.
     """
     if arity is None:
         row = ["_a", "_I"]
@@ -187,8 +179,6 @@ def _kernel_source(arity: int | None, add: bool, mail: bool, sends: bool, tracke
         listed = "[" + ", ".join(f"_prev[{i}]" for i in idx) + "]"
     if mail:
         row.append("_g")
-    if sends:
-        row += ["_k", "_x"]
 
     # the fold of the reads alone, into f
     if arity == 0:
@@ -220,43 +210,31 @@ def _kernel_source(arity: int | None, add: bool, mail: bool, sends: bool, tracke
         gather = ["_ms = _g(_prev)"] if arity == 0 else [f"_ms = {listed}", "_ms += _g(_prev)"]
         body = [*gather, *present, "f = _pc(_ms) if _ms else None"]
 
-    if tracked:
+    if texts is None:
+        body += ["s = _values[_a] = _up(_values[_a], f)", "_nxt[_a] = _sm(s)"]
+    else:
+        update, message = texts
         body += ["s = _was = _values[_a]", *update.splitlines(),
                  "if s is not _was:",
                  "    _values[_a] = s",
-                 "    _mark(_a)"]
-    else:
-        body += ["s = _values[_a]", *update.splitlines(), "_values[_a] = s"]
-    if sends:
-        body += [f"_out = ({message})",
-                 "_nxt[_a] = _out",
-                 "if _out is not None:",
-                 "    _logical += _k",
-                 "    _crossed += _x"]
-    else:
-        body += [f"_nxt[_a] = ({message})"]
+                 "    _mark(_a)",
+                 f"_nxt[_a] = ({message})"]
 
-    lines = ["def kernel(_T, _prev, _nxt, _values, _counter, _mark, _clean, _pc, _up, _sm):"]
-    if sends:
-        lines.append("    _logical = _crossed = 0")
-    lines.append(f"    for {', '.join(row)}{',' if len(row) == 1 else ''} in _T:")
+    lines = ["def kernel(_T, _prev, _nxt, _values, _mark, _clean, _pc, _up, _sm):",
+             f"    for {', '.join(row)}{',' if len(row) == 1 else ''} in _T:"]
     lines += ["        " + line for line in body]
-    if sends:
-        lines += ["    _counter[0] += _logical", "    _counter[1] += _crossed"]
     return "\n".join(lines) + "\n"
 
 
-# the texts spliced for callables that carry none: they call them
-_CALLS = ("s = _up(s, f)", "_sm(s)")
 # the globals a kernel reads, beside the texts' own
 _GLOBALS = {"_present": _present, "_sum": sum, "_TypeError": TypeError}
 
 
 @lru_cache(maxsize=64)
-def _make_kernel(shape: tuple, update: str, message: str) -> CodeType:
+def _make_kernel(shape: tuple, texts: tuple[str, str] | None) -> CodeType:
     """The kernel code of one group shape and pair of texts; they recur
     across engines, and each compile costs about half a millisecond."""
-    source = _kernel_source(*shape, update, message)
+    source = _kernel_source(*shape, texts)
     [code] = [c for c in compile(source, f"<fuseforge kernel {shape}>", "exec").co_consts
               if isinstance(c, CodeType)]
     return code
@@ -278,16 +256,16 @@ class Engine:
 
     ``programs[p]`` holds partition p's steps in the order they run, each
     ``(kernel, table, span)``.  One step covers the partition's agents of
-    one contract, read arity and mail shape, and its kernel holds the
-    contract's callables as argument defaults, so every kernel takes the
-    same arguments.  Every agent the partition runs is in exactly one row
-    of one table.  ``span`` is None for an untracked group, and a tracked
-    group's slice of the active-set mask otherwise; the mask has
-    ``tracked_rows`` entries.  The message array has ``n +
-    len(aggregators)`` entries: aggregator k's partial is entry ``n + k``.  ``routes`` counts the mail
-    routes, mail edges and aggregator partials; none of them has an entry
-    of its own, since each receiver gathers its mail from the entries of
-    its senders and aggregators.
+    one contract and read arity that all receive mail, or all do not; its
+    kernel holds the contract's callables as argument defaults, so every
+    kernel takes the same arguments.  Every agent the partition runs is in exactly one row
+    of one table.  A group is tracked exactly when its kernel is fused:
+    ``span`` is its slice of the active-set mask, which has
+    ``tracked_rows`` entries, or None for a kernel that calls its
+    contract's callables.  The message array has ``n + len(aggregators)``
+    entries: aggregator k's partial is entry ``n + k``.  ``routes`` counts
+    the mail edges and aggregator partials, none of which has an entry of
+    its own.
     """
 
     def __init__(self, workload, plans: list[PartitionPlan], track_inbound: tuple[int, ...] = ()):
@@ -321,6 +299,7 @@ class Engine:
         aggs_of: defaultdict[int, list[int]] = defaultdict(list)  # by target: array indices
         for k, agg in enumerate(self.aggregators, n):
             aggs_of[agg.target_agent].append(k)
+        texts_of = {name: _kernel_texts(c) for name, c in workload.contracts.items()}
 
         # per reader: the sources it reads from the array, ascending, and its
         # mail sources: whatever no staged read or cache slot covers, plus
@@ -329,6 +308,7 @@ class Engine:
         self.contract_of: list[ComputeMethodContract] = [None] * n  # type: ignore
         compute_of: list[str] = [""] * n
         row_of: list[tuple] = [()] * n  # (agent, *its reads[, its gather])
+        mail_of: dict[int, list[int]] = {}  # per fused receiver: the indices it gathers
         arity_of = [0] * n
         receives = [False] * n
         # a fold that mail order cannot change: a commutative one, or an
@@ -381,41 +361,48 @@ class Engine:
                         # both in ascending sender order
                         sources, gather = sorted(gather + sources), []
                     row_of[a] = (a, *gather, _gather(sources))
+                    if texts_of[compute_of[a]]:
+                        mail_of[a] = sources
                 else:
                     row_of[a] = (a, *gather)
                 arity_of[a] = len(gather)
         self.routes = len(mailed) + len(self.aggregators)
-        edges, crossing = Counter(mailed), Counter(crossed)
         # the barrier's None check scans the whole array to spare the kernels
         # their scans of gathered mail: it pays only where they gather at
         # least as many entries as the array holds
         self._scans = self.routes >= n + len(self.aggregators)
+        # the barrier's traffic count: each mail sender's entry, its mail
+        # edges and how many of them cross partitions, and the totals
+        edges, crossing = Counter(mailed), Counter(crossed)
+        self._mailers = _gather(list(edges)) if edges else None
+        self._edges = list(edges.values())
+        self._crossing = [crossing[s] for s in edges]
+        self._all_mail = len(mailed), len(crossed)
 
         # one shared tuple per distinct key: n live key tuples would add work
         # for the cyclic collector during set-up
         interned: dict[tuple, tuple] = {}
-        key_of = [interned.setdefault(key, key) for key in zip(
-            compute_of, arity_of, receives, (a in edges for a in range(n)))]
+        key_of = [interned.setdefault(key, key) for key in zip(compute_of, arity_of, receives)]
         shape_of = {}  # per key: its kernel shape, and whether rows pack their reads
         for key, count in Counter(key_of).items():
-            compute, arity, receiving, sending = key
-            c = workload.contracts[compute]
+            compute, arity, receiving = key
             # a key with more reads than agents keeps each row's reads as one tuple
             pack = arity > count
-            tracked = not (receiving or sending) and _kernel_texts(c) is not None
-            shape_of[key] = (None if pack else arity, c.fold == "add",
-                             receiving, sending, tracked), pack
+            shape_of[key] = (None if pack else arity, workload.contracts[compute].fold == "add",
+                             receiving), pack
 
         # the active set: tracked rows hold positions in one mask, in run
         # order; a tracked agent a has its row at position pos[a], and
-        # wake[a] lists the positions of the tracked rows that read it
+        # wake[a] lists the positions of the tracked rows that read it or
+        # gather its mail (None for untracked agents and aggregator partials)
         self.tracked_rows = 0
         self._pos: list[int] = []
         self._wake: list[list[int] | None] = []
-        if any(shape[4] for shape, _ in shape_of.values()):
+        if any(texts_of[compute] for compute, *_ in shape_of):
             self._pos = [0] * n
-            self._wake = [[] if shape_of[key][0][4] else None for key in key_of]
-        always = bytearray()  # the rows that read an untracked agent run every round
+            self._wake = [[] if texts_of[compute] else None for compute in compute_of]
+            self._wake += [None] * len(self.aggregators)
+        always = bytearray()  # the rows with an untracked source run every round
         self.programs: list[list[tuple]] = []
         for order in orders:
             groups: dict[tuple, list] = {}
@@ -425,22 +412,19 @@ class Engine:
                 if shape_of[key][1]:
                     k = key[1] + 1
                     row = (a, row[1:k], *row[k:])
-                if key[3]:
-                    row += (edges[a], crossing[a])
                 groups.setdefault(key, []).append(row)
             program = []
             for key, rows in groups.items():
-                c = self.contract_of[rows[0][0]]
-                texts = _kernel_texts(c)
+                c = workload.contracts[key[0]]
+                texts = texts_of[key[0]]
                 # a fused kernel runs its texts in the scope of the contract's callables
                 scope = {**c.update_state.__globals__, **_GLOBALS} if texts else _GLOBALS
-                shape = shape_of[key][0]
-                kernel = FunctionType(_make_kernel(shape, *(texts or _CALLS)), scope, None,
+                kernel = FunctionType(_make_kernel(shape_of[key][0], texts), scope, None,
                                       (c.partial_compute, c.update_state, c.state_to_message))
                 span = None
-                if shape[4]:
+                if texts:
                     span = slice(self.tracked_rows, self.tracked_rows + len(rows))
-                    self._track(rows, row_of, always)
+                    self._track(rows, row_of, mail_of, always)
                 program.append((kernel, tuple(rows), span))
             self.programs.append(program)
         self._always = bytes(always)
@@ -449,16 +433,21 @@ class Engine:
         passes = plans[0].passes if plans else frozenset()
         self.cross_header = "merge" in passes and "cache" not in passes
 
-    def _track(self, rows: list[tuple], row_of: list[tuple], always: bytearray) -> None:
+    def _track(self, rows: list[tuple], row_of: list[tuple], mail_of: dict[int, list[int]],
+               always: bytearray) -> None:
         """Give a tracked group's rows the next mask positions, each in the
-        wake lists of the agents it reads; a row that reads an untracked
-        agent, whose changes nothing records, runs every round."""
+        wake lists of the agents it reads or gathers mail from; a row with
+        a source whose changes nothing records, an untracked agent or an
+        aggregator partial, runs every round."""
         pos, wake = self._pos, self._wake
         for p, row in enumerate(rows, self.tracked_rows):
             a = row[0]
             pos[a] = p
+            sources = row_of[a][1:]
+            if a in mail_of:  # the reads, then the gathered indices for the getter
+                sources = (*sources[:-1], *mail_of[a])
             untracked = False
-            for src in row_of[a][1:]:
+            for src in sources:
                 readers = wake[src]
                 if readers is None:
                     untracked = True
@@ -489,20 +478,20 @@ class Engine:
         clean = self._scans and None not in prev
 
         steps = [step for program in self.programs for step in program]
-        pos, wake, tracked = self._pos, self._wake, self.tracked_rows
+        pos, wake, tracked_rows = self._pos, self._wake, self.tracked_rows
+        mailers, edges, crossing = self._mailers, self._edges, self._crossing
         # the positions a change of agent a marks: its own and its readers'
         fan = [1 + len(readers) if readers is not None else 0 for readers in wake]
-        untracked = n - tracked
+        untracked = n - tracked_rows
         mask = None  # the tracked rows that run; None: all of them
         changed: list[int] = []  # the tracked agents whose state changed
         mark = changed.append
         for _ in range(rounds):
             t0 = time.perf_counter()
-            counter = [0, 0]  # logical, cross-partition
             for kernel, table, span in steps:
                 if span is not None and mask is not None:
                     table = compress(table, mask[span])
-                kernel(table, prev, nxt, values, counter, mark, clean)
+                kernel(table, prev, nxt, values, mark, clean)
             metrics.active_per_round.append(
                 n if mask is None else untracked + mask.count(1))
 
@@ -510,11 +499,12 @@ class Engine:
             # without None spares the next round's kernels their None scans
             folded = self._fold_aggregates(nxt)
             clean = self._scans and None not in nxt
-            # a changed agent wakes itself and its tracked readers; a skipped
-            # agent's message is already in both arrays.  Where the wakes
-            # number at least the tracked rows, every row runs
-            if tracked:
-                if sum(map(fan.__getitem__, changed)) >= tracked:
+            # a changed agent wakes itself and the tracked rows that read it
+            # or gather its mail; a skipped agent's message is already in both
+            # arrays.  Where the wakes number at least the tracked rows, every
+            # row runs
+            if tracked_rows:
+                if sum(map(fan.__getitem__, changed)) >= tracked_rows:
                     mask = None
                 else:
                     mask = bytearray(self._always)
@@ -524,10 +514,15 @@ class Engine:
                             mask[p] = 1
                 changed.clear()
 
-            # one wire unit per directed cache per round, plus one per
-            # dynamic/aggregated cross-partition message
-            cross = counter[1]
-            logical = counter[0] + folded
+            # each sender whose entry holds a message ships its mail edges,
+            # all of them where the array holds no None; one wire unit per
+            # directed cache per round, plus one per dynamic/aggregated
+            # cross-partition message
+            logical, cross = self._all_mail
+            if mailers is not None and not clean:
+                live = list(map(is_not, mailers(nxt), repeat(None)))
+                logical, cross = sum(compress(edges, live)), sum(compress(crossing, live))
+            logical += folded
             wire = cross + folded + self.cache_count
             header = cross if self.cross_header else 0
 

@@ -114,12 +114,14 @@ def test_setup_columns_follow_checksum(tmp_path):
 
 
 def test_active_fraction_column():
-    """gol's tracked group skips agents at a fixed point; economics has no
-    tracked group, so it runs every agent every round."""
+    """gol's tracked group skips agents at a fixed point, with mail in
+    ``unopt`` as without it in ``full``; economics has no tracked group, so
+    it runs every agent every round."""
     def active(row) -> float:
         return float(row.as_csv().split(",")[COLUMNS.index("active_fraction")])
 
     assert 0 < active(run(small_config(rounds=30))) < 1
+    assert 0 < active(run(small_config(mode="unopt", rounds=30))) < 1
     assert active(run(small_config(workload="economics", rounds=5))) == 1
     assert run(small_config(rounds=0)).as_csv().split(",")[COLUMNS.index("active_fraction")] == ""
 

@@ -55,13 +55,13 @@ def observe(wl, result):
 
 
 def group_keys(engine, wl, plans) -> set[tuple]:
-    """The (contract, read arity, receives mail, sends mail) keys of the
-    agents, resolved from the plans apart from the engine."""
+    """The (contract, read arity, receives mail) keys of the agents,
+    resolved from the plans apart from the engine."""
     per_agent = resolve(plans, wl.contracts, engine.partition_of)
     receivers = {r for _, _, local, cross in per_agent for r in (*local, *cross)}
     receivers |= {agg.target_agent for agg in engine.aggregators}
-    return {(c.name, len(reads), a in receivers, bool(local or cross))
-            for a, (c, reads, local, cross) in enumerate(per_agent)}
+    return {(c.name, len(reads), a in receivers)
+            for a, (c, reads, _, _) in enumerate(per_agent)}
 
 
 def check_structure(engine, wl, plans) -> None:
@@ -110,7 +110,7 @@ def test_gol_full_compiles_one_kernel_per_group_key():
                              contracts=wl.contracts)
     assert len(plans) == 10
     engine = Engine(wl, plans)
-    assert group_keys(engine, wl, plans) == {("gol", 8, False, False)}
+    assert group_keys(engine, wl, plans) == {("gol", 8, False)}
     check_structure(engine, wl, plans)
     assert calls_made(engine) == set()
 
@@ -149,22 +149,22 @@ def test_wrapped_callables_are_not_bypassed(build, mode):
 
 
 def test_kernels_own_the_underscored_names():
-    """Every kernel shape the generator emits binds and reads only ``s``,
-    ``f`` and names that start with ``_``, which ``rule_from_text`` keeps
-    out of rule texts and their environments, so no accepted text can
-    capture or shadow a kernel's name."""
-    shapes = [shape for shape in product((None, 0, 1, 2), *[(False, True)] * 4)
-              if not (shape[4] and (shape[2] or shape[3]))]  # a tracked group has no mail
-    assert len(shapes) == 40
-    for shape in shapes:
-        codes = [_make_kernel(shape, "s = _up(s, f)", "_sm(s)")]
+    """Every kernel shape the generator emits, fused or calling its
+    contract's callables, binds and reads only ``s``, ``f`` and names that
+    start with ``_``, which ``rule_from_text`` keeps out of rule texts and
+    their environments, so no accepted text can capture or shadow a
+    kernel's name."""
+    shapes = list(product((None, 0, 1, 2), (False, True), (False, True)))
+    assert len(shapes) == 16
+    for shape, texts in product(shapes, (("s = f", "s"), None)):
+        codes = [_make_kernel(shape, texts)]
         for code in codes:  # the kernel and the comprehensions nested in it
             codes += [c for c in code.co_consts if isinstance(c, CodeType)]
         names = {name for code in codes for name in
                  (*code.co_varnames, *code.co_cellvars, *code.co_freevars, *code.co_names)}
         # a comprehension's iterator ``.0`` is no identifier a text could use
         assert {name for name in names
-                if name.isidentifier() and not name.startswith("_")} <= {"s", "f"}, shape
+                if name.isidentifier() and not name.startswith("_")} <= {"s", "f"}, (shape, texts)
 
 
 # texts that bind or read names the kernels used before they took the ``_``
@@ -184,8 +184,8 @@ CAPTURE_FREE_RULES = {
 @pytest.mark.parametrize("case", sorted(CAPTURE_FREE_RULES))
 def test_rule_text_the_kernel_cannot_capture_agrees(case):
     """A gol rule whose text shares a name with the code the kernels used
-    to bind or call builds, and its fused kernels, tracked in ``full`` and
-    with mail in ``unopt``, observe what the interpreted loop does."""
+    to bind or call builds, and its fused kernels, tracked without mail in
+    ``full`` and with mail in ``unopt``, observe what the interpreted loop does."""
     update, env = CAPTURE_FREE_RULES[case]
     gol = build_gol(10, 10, seed=4)
     c = gol.contracts["gol"]
@@ -198,7 +198,7 @@ def test_rule_text_the_kernel_cannot_capture_agrees(case):
                                  wl.static_marks, MODE_PASSES[mode], contracts=wl.contracts)
         engine = Engine(wl, plans, track)
         assert calls_made(engine) == set()
-        assert (engine.tracked_rows > 0) == (mode == "full")
+        assert engine.tracked_rows == wl.graph.vertex_count
         assert observe(wl, engine.run(ROUNDS)) == observe(wl, Interpreter(wl, plans, track).run(ROUNDS))
 
 
@@ -219,17 +219,24 @@ def full_plans(wl, agents_per_partition):
                             pushdown_targets=wl.pushdown_targets)
 
 
-def test_glider_runs_only_its_neighbourhood():
+@pytest.mark.parametrize("mode", ["full", "unopt", "merge+cache", "full+pushdown"])
+def test_glider_runs_only_its_neighbourhood(mode):
     """A glider on a 16x16 torus changes five cells a round, so after round
-    0 the tracked group runs only the rows around it, and the run observes
-    what the interpreted loop does."""
+    0 the tracked group runs only the rows around it, whether its cells
+    read their neighbours or get their mail, and the run observes what the
+    interpreted loop does, traffic and inbound counts included.  Under
+    pushdown, cell 0 folds an aggregator's partial, whose changes nothing
+    records, so its row runs every round."""
     side, rounds = 16, 60
     glider = {1, side + 2, 2 * side, 2 * side + 1, 2 * side + 2}
-    wl = build_gol(side, side, initial_alive=glider)
-    plans = full_plans(wl, 64)
+    wl = dataclasses.replace(build_gol(side, side, initial_alive=glider), pushdown_targets=(0,))
+    plans = default_pipeline(partition_greedy(wl.graph, 64, 0), wl.equations, wl.static_marks,
+                             MODE_PASSES[mode], contracts=wl.contracts,
+                             pushdown_targets=wl.pushdown_targets)
     track = (0, wl.graph.vertex_count - 1)
     engine = Engine(wl, plans, track)
     assert engine.tracked_rows == wl.graph.vertex_count
+    assert sum(engine._always) == (mode == "full+pushdown")
     result = engine.run(rounds)
     assert observe(wl, result) == observe(wl, Interpreter(wl, plans, track).run(rounds))
     active = result[1].active_per_round

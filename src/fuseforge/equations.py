@@ -35,7 +35,7 @@ class StateRef(NamedTuple):
         return f"s{self.agent_id}g{self.generation}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BehavioralEquation:
     lhs: StateRef
     compute: str

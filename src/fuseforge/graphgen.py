@@ -32,20 +32,26 @@ class Graph:
 
 
 def _from_edge_set(n: int, edges) -> Graph:
+    """Adjacency whose every entry for vertex v is the one int ``ids[v]``,
+    not the int an edge happened to carry."""
+    ids = list(range(n))
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+        adj[u].append(ids[v])
+        adj[v].append(ids[u])
     return Graph(n, tuple(tuple(sorted(a)) for a in adj))
 
 
 def torus2d(width: int, height: int) -> Graph:
     """Moore-neighborhood torus: every cell has exactly 8 neighbors.
 
-    Vertex ids are row-major: id = row * width + col.
+    Vertex ids are row-major: id = row * width + col.  Every entry for
+    vertex v is the one int ``ids[v]``, so adjacency holds one int per
+    vertex, not eight.
     """
     if width < 3 or height < 3:
         raise ParameterError("torus dimensions must be >= 3 for distinct wraparound")
+    ids = list(range(width * height))
     adj = []
     for r in range(height):
         for c in range(width):
@@ -54,7 +60,7 @@ def torus2d(width: int, height: int) -> Graph:
                 for dc in (-1, 0, 1):
                     if dr == 0 and dc == 0:
                         continue
-                    cell.append(((r + dr) % height) * width + (c + dc) % width)
+                    cell.append(ids[((r + dr) % height) * width + (c + dc) % width])
             adj.append(tuple(sorted(cell)))
     return Graph(width * height, tuple(adj))
 

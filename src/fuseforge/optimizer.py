@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
+from collections.abc import Mapping, Set as AbstractSet
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -128,17 +129,22 @@ def initial_plan(part: Partition, eqs: dict[int, BehavioralEquation]) -> Partiti
 def refine_communication(
     part: Partition,
     eqs: dict[int, BehavioralEquation],
-    static_marks: dict[int, set[StateRef]],
+    static_marks: Mapping[int, AbstractSet[StateRef]],
 ) -> dict[int, RefinedNeighbors]:
-    """Classify each member's references as local/remote and static/dynamic."""
-    remote_pid = {(u, v): pid for (u, v, pid) in part.cross_edges}
+    """Classify each member's references as local/remote and static/dynamic.
+
+    Every ``(source, partition)`` pair in the result is one tuple per
+    source, shared by all members that read that source.
+    """
+    pairs: dict[int, tuple[int, int]] = {}
+    remote_pair = {(u, v): pairs.setdefault(v, (v, pid)) for (u, v, pid) in part.cross_edges}
     members = part.member_set
     refined = {}
     for agent in part.member_ids:
         eq = eqs.get(agent)
         if eq is None:
             raise DanglingReferenceError(f"no equation for agent {agent}")
-        marks = static_marks.get(agent, set())
+        marks = static_marks.get(agent, ())
         local_static: list[int] = []
         remote_static: list[tuple[int, int]] = []
         dynamic: list[int] = []
@@ -149,13 +155,13 @@ def refine_communication(
             elif src in members:
                 local_static.append(src)
             else:
-                pid = remote_pid.get((agent, src))
-                if pid is None:
+                pair = remote_pair.get((agent, src))
+                if pair is None:
                     raise DanglingReferenceError(
                         f"agent {agent} statically references {ref!r}, which is "
                         f"neither local nor a known cross-partition neighbor"
                     )
-                remote_static.append((src, pid))
+                remote_static.append(pair)
         refined[agent] = RefinedNeighbors(
             tuple(sorted(local_static)), tuple(sorted(remote_static)), tuple(dynamic)
         )
@@ -235,10 +241,13 @@ def rewrite_local(plan: PartitionPlan) -> PartitionPlan:
 
 
 def _with_staged(ap: AgentPlan, reads: list[int]) -> AgentPlan:
-    """``ap`` staging ``reads``; ``ap`` itself when that changes nothing."""
+    """``ap`` staging ``reads``; ``ap`` itself when that changes nothing.
+    A staged tuple equal to the agent's ``local_static`` is that tuple."""
     staged = tuple(sorted(reads))
     if staged == ap.staged:
         return ap
+    if staged == ap.refined.local_static:
+        staged = ap.refined.local_static
     return AgentPlan(ap.equation, ap.refined, staged)
 
 
@@ -324,7 +333,7 @@ def validate_options(options: frozenset[str]) -> None:
 def default_pipeline(
     partitions: list[Partition],
     eqs: dict[int, BehavioralEquation],
-    static_marks: dict[int, set[StateRef]],
+    static_marks: Mapping[int, AbstractSet[StateRef]],
     options: frozenset[str] = MODE_PASSES["full"],
     contracts: dict[str, ComputeMethodContract] | None = None,
     pushdown_targets: tuple[int, ...] = (),

@@ -26,6 +26,7 @@ record without an instance dict (80 bytes, not 120, for a trader).
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator, Mapping, Set as AbstractSet
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -48,7 +49,7 @@ class Workload:
     equations: dict[int, BehavioralEquation]
     contracts: dict[str, ComputeMethodContract]
     initial_values: dict[int, object]
-    static_marks: dict[int, set[StateRef]]
+    static_marks: Mapping[int, AbstractSet[StateRef]]
     pushdown_targets: tuple[int, ...]
     encode_value: Callable[[object], bytes]
 
@@ -84,7 +85,8 @@ def _record(cls):
 
 def _recursive_equations(graph: Graph, compute_of: Callable[[int], str]) -> dict[int, BehavioralEquation]:
     """One equation per agent; every reference to an agent, in any equation
-    or static-marks set, is that agent's single ``StateRef``."""
+    or static-marks set (``_all_static`` builds those from the equations),
+    is that agent's single ``StateRef``."""
     refs = [StateRef(a) for a in range(graph.vertex_count)]
     return {
         a: BehavioralEquation(
@@ -94,8 +96,32 @@ def _recursive_equations(graph: Graph, compute_of: Callable[[int], str]) -> dict
     }
 
 
-def _all_static(eqs: dict[int, BehavioralEquation]) -> dict[int, set[StateRef]]:
-    return {a: set(eq.reference_set) for a, eq in eqs.items()}
+class _AllStatic(Mapping):
+    """Read-only static marks that mark every reference of every equation.
+
+    ``marks[a]`` is built from ``eqs[a]`` when asked, so it holds the
+    equation's own ``StateRef`` objects, and no per-agent set outlives its
+    reader: the optimizer reads each agent's marks once, in refinement.
+    """
+
+    __slots__ = ("_eqs",)
+
+    def __init__(self, eqs: Mapping[int, BehavioralEquation]):
+        self._eqs = eqs
+
+    def __getitem__(self, agent: int) -> frozenset[StateRef]:
+        return frozenset(self._eqs[agent].reference_set)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._eqs)
+
+    def __len__(self) -> int:
+        return len(self._eqs)
+
+
+def _all_static(eqs: dict[int, BehavioralEquation]) -> Mapping[int, AbstractSet[StateRef]]:
+    """Every reference marked static, as a view over ``eqs`` (see ``_AllStatic``)."""
+    return _AllStatic(eqs)
 
 
 def _sum_or_none(ms: list) -> int | None:

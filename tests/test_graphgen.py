@@ -208,6 +208,23 @@ def test_greedy_cut_beats_random_on_torus():
         assert greedy_cut < random_cut
 
 
+def test_adjacency_holds_one_int_object_per_vertex(tmp_path):
+    """Every adjacency entry for a vertex is the same int object, on graphs
+    with ids above the interpreter's small-int cache."""
+    path = str(tmp_path / "g.edges")
+    save_graph(erm(400, 0.05, seed=2), path)
+    graphs = {
+        "torus2d": torus2d(20, 20),
+        "erm": erm(400, 0.05, seed=1),
+        "sbm": sbm(400, blocks=4, p_in=0.1, p_out=0.01, seed=3),
+        "load_graph": load_graph(path),
+    }
+    for name, g in graphs.items():
+        entries = [v for adj in g.adjacency for v in adj]
+        assert max(entries) > 256, name
+        assert len({id(v) for v in entries}) == len(set(entries)), name
+
+
 def test_edge_list_roundtrip(tmp_path):
     g = erm(80, 0.05, seed=4)
     path = str(tmp_path / "g.edges")

@@ -26,7 +26,7 @@ from fuseforge.optimizer import (
     synthesize_caches,
     validate_options,
 )
-from fuseforge.workloads import build_economics, build_gol, state_checksum
+from fuseforge.workloads import build_economics, build_gol, build_pagerank, state_checksum
 from fuseforge.runtime import Engine, execute
 
 
@@ -314,6 +314,27 @@ def test_passes_reuse_the_plans_of_agents_they_leave_unchanged():
     for before, after in zip(plans, remote):
         for a, ap in before.per_agent.items():
             assert (after.per_agent[a] is ap) == (not ap.refined.remote_static)
+
+
+@pytest.mark.parametrize("build", [lambda: build_gol(20, 20),
+                                   lambda: build_pagerank(erm(300, 0.05, seed=2))],
+                         ids=["gol", "pagerank"])
+def test_full_plans_share_their_tuples(build):
+    """A staged tuple equal to the agent's ``local_static`` is that tuple,
+    and each ``(source, partition)`` pair is one object per partition."""
+    wl = build()
+    plans = default_pipeline(partition_greedy(wl.graph, 100, 0), wl.equations, wl.static_marks,
+                             MODE_PASSES["full"], contracts=wl.contracts)
+    shared = 0
+    for plan in plans:
+        pairs = [sp for ap in plan.per_agent.values() for sp in ap.refined.remote_static]
+        assert len(pairs) > len(set(pairs))
+        assert len({id(sp) for sp in pairs}) == len(set(pairs))
+        for ap in plan.per_agent.values():
+            if ap.staged == ap.refined.local_static:
+                assert ap.staged is ap.refined.local_static
+                shared += bool(ap.staged)
+    assert shared > 0
 
 
 def test_validate_options_dependencies():

@@ -7,6 +7,7 @@ import copy
 import dataclasses
 import math
 import pickle
+from collections.abc import Mapping
 
 import pytest
 
@@ -49,12 +50,15 @@ def run_modes(wl, parts, rounds, modes=None, pushdown=False):
     return checks
 
 
-@pytest.mark.parametrize("build", [
+BUILDERS = pytest.mark.parametrize("build", [
     lambda: build_gol(6, 5, seed=1),
     lambda: build_epidemics(40, seed=2, p=0.1),
     lambda: build_economics(17, seed=3),
     lambda: build_pagerank(erm(30, 0.2, 4)),
 ], ids=["gol", "epidemics", "economics", "pagerank"])
+
+
+@BUILDERS
 def test_every_reference_to_an_agent_is_one_shared_state_ref(build):
     wl = build()
     ref_of = {a: eq.lhs for a, eq in wl.equations.items()}
@@ -66,6 +70,27 @@ def test_every_reference_to_an_agent_is_one_shared_state_ref(build):
             assert ref is ref_of[ref.agent_id]
         for ref in wl.static_marks[a]:
             assert ref is ref_of[ref.agent_id]
+        assert not hasattr(eq, "__dict__")
+
+
+@BUILDERS
+def test_static_marks_are_a_view_that_plans_like_a_dict_of_sets(build):
+    """The builders' static marks are a read-only mapping that marks every
+    reference; a plain dict of the same sets gives the same plans."""
+    wl = build()
+    marks = {a: set(eq.reference_set) for a, eq in wl.equations.items()}
+    assert isinstance(wl.static_marks, Mapping) and not isinstance(wl.static_marks, dict)
+    assert dict(wl.static_marks) == marks
+    as_dict = dataclasses.replace(wl, static_marks=marks)
+    parts = partition_greedy(wl.graph, max(2, wl.graph.vertex_count // 3), 0)
+    for mode in ("unopt", "full", "full+pushdown"):
+        keys = []
+        for w in (wl, as_dict):
+            targets = w.pushdown_targets if "pushdown" in MODE_PASSES[mode] else ()
+            plans = default_pipeline(parts, w.equations, w.static_marks, MODE_PASSES[mode],
+                                     contracts=w.contracts, pushdown_targets=targets)
+            keys.append([p.plan_key() for p in plans])
+        assert keys[0] == keys[1], mode
 
 
 # State records ----------------------------------------------------------------

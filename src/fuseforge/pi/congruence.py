@@ -51,6 +51,7 @@ from .process import (
     flatten_parallel,
     free_names,
     fresh,
+    name,
     name_is_free,
     nu,
     par,
@@ -93,6 +94,10 @@ def _canonical_key_cached(p: PiProcess) -> str:
 
 
 def _canonical_key_walk(p: PiProcess, env: dict[Name, str] | None) -> str:
+    """The key, written in pre-order by a walk that keeps its own stack, so
+    deep terms do not exhaust the recursion limit.  A task is a subterm to
+    write, a string to append, or a list of the bindings a scope shadowed,
+    to restore when the walk leaves it."""
     parts: list[str] = []
     append = parts.append
     bound: dict[Name, str] = {}  # binder tokens, shadow-restored on scope exit
@@ -121,71 +126,65 @@ def _canonical_key_walk(p: PiProcess, env: dict[Name, str] | None) -> str:
             site += 1
         return saved
 
-    def leave(saved) -> None:
-        for n, old in saved:
-            if old is None:
-                del bound[n]
-            else:
-                bound[n] = old
-
-    def walk(q: PiProcess) -> None:
-        if isinstance(q, Nil):
-            append("0")
-        elif isinstance(q, OutputPrefix):
+    todo: list = [p]
+    push = todo.append
+    while todo:
+        q = todo.pop()
+        t = type(q)
+        if t is str:
+            append(q)
+        elif t is list:
+            for n, old in q:
+                if old is None:
+                    del bound[n]
+                else:
+                    bound[n] = old
+        elif t is OutputPrefix:
             append("(o ")
             append(tok(q.channel))
             for n in q.payload:
                 append(" ")
                 append(tok(n))
             append(";")
-            walk(q.continuation)
-            append(")")
-        elif isinstance(q, InputPrefix):
+            push(")")
+            push(q.continuation)
+        elif t is InputPrefix:
             append("(i ")
             append(tok(q.channel))
             append(f" {len(q.binders)};")
-            saved = enter(q.binders)
-            walk(q.continuation)
-            leave(saved)
-            append(")")
-        elif isinstance(q, Choice):
-            append("(+ ")
-            walk(q.left)
-            append(" ")
-            walk(q.right)
-            append(")")
-        elif isinstance(q, Parallel):
-            append("(| ")
-            walk(q.left)
-            append(" ")
-            walk(q.right)
-            append(")")
-        elif isinstance(q, Restriction):
+            push(")")
+            push(enter(q.binders))
+            push(q.continuation)
+        elif t is Parallel or t is Choice:
+            append("(| " if t is Parallel else "(+ ")
+            push(")")
+            push(q.right)
+            push(" ")
+            push(q.left)
+        elif t is Restriction:
             append("(nu ")
-            saved = enter((q.name,))
-            walk(q.body)
-            leave(saved)
-            append(")")
-        elif isinstance(q, Replication):
+            push(")")
+            push(enter((q.name,)))
+            push(q.body)
+        elif t is Nil:
+            append("0")
+        elif t is Replication:
             append("(! ")
-            walk(q.body)
-            append(")")
-        elif isinstance(q, FunctionApply):
+            push(")")
+            push(q.body)
+        elif t is FunctionApply:
             append(f"(app {q.fn}")
             for n in q.args:
                 append(" ")
                 append(tok(n))
             append(";")
-            saved = enter((q.result,))
-            walk(q.continuation)
-            leave(saved)
-            append(")")
-        elif isinstance(q, ProcessId):
+            push(")")
+            push(enter((q.result,)))
+            push(q.continuation)
+        elif t is ProcessId:
             append(f"(id {q.ident})")
         else:
             raise StructuralError(f"unknown process node {q!r}")
-
-    walk(p)
     return "".join(parts)
 
 
@@ -238,7 +237,7 @@ def normalize(p: PiProcess) -> PiProcess:
 
 @lru_cache(maxsize=None)
 def _canon_region(p: PiProcess) -> PiProcess:
-    chain, kids = _gather(p, _taken_seed(p))
+    chain, kids = _gather(p)
     kids = [k for k in kids if not isinstance(k, Nil)]
     kids = _absorb(kids)
     if not kids:
@@ -316,36 +315,50 @@ def _sort_kids(kids: list[PiProcess], env: dict[Name, str] | None) -> list[PiPro
     return ordered
 
 
-def _taken_seed(p: PiProcess) -> set[Name]:
+def _gather(p: PiProcess) -> tuple[list[Name], list[PiProcess]]:
+    """Hoist restrictions up through parallel composition within one region.
+
+    Returns the region's restriction chain and its components, both left to
+    right.  A hoisted name is renamed if it is free in the region or was
+    hoisted before it, in pre-order: one running ``taken`` set serves the
+    whole walk, because a left operand adds exactly its hoisted chain for
+    its right sibling.  The walk keeps its own stack, so long chains and
+    wide parallels do not exhaust the recursion limit.
+    """
     fns = free_names(p)
-    return set() if fns is TOP else set(fns)
-
-
-def _gather(p: PiProcess, taken: set[Name]) -> tuple[list[Name], list[PiProcess]]:
-    """Hoist restrictions up through parallel composition within one region."""
-    if isinstance(p, Nil):
-        return [], []
-    if isinstance(p, Restriction):
-        n, body = p.name, p.body
-        # A name free inside a process identifier's definition cannot be
-        # rewritten, so restrictions over identifier-containing scopes keep
-        # their name; elsewhere collisions are resolved by renaming.
-        if n in taken and free_names(body) is not TOP:
-            n2 = fresh(n.text)
-            body = substitute(body, {n: n2})
-            n = n2
-        chain, kids = _gather(body, taken | {n})
-        return [n] + chain, kids
-    if isinstance(p, Parallel):
-        left_chain, left_kids = _gather(p.left, taken)
-        right_chain, right_kids = _gather(p.right, taken | set(left_chain))
-        return left_chain + right_chain, left_kids + right_kids
-    node = _canon_node(p)
-    if isinstance(node, (Nil, Parallel, Restriction)):
-        # a collapsed choice (P + 0 with P restricted or parallel) re-enters
-        # the region so its restrictions hoist like any other component's
-        return _gather(node, taken)
-    return [], [node]
+    taken: set[Name] = set() if fns is TOP else set(fns)
+    chain: list[Name] = []
+    kids: list[PiProcess] = []
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        t = type(q)
+        if t is Restriction:
+            n, body = q.name, q.body
+            # A name free inside a process identifier's definition cannot be
+            # rewritten, so restrictions over identifier-containing scopes keep
+            # their name; elsewhere collisions are resolved by renaming.
+            if n in taken and free_names(body) is not TOP:
+                n2 = fresh(n.text)
+                body = substitute(body, {n: n2})
+                n = n2
+            chain.append(n)
+            taken.add(n)
+            todo.append(body)
+        elif t is Parallel:
+            todo.append(q.right)
+            todo.append(q.left)
+        elif t is not Nil:
+            node = _canon_node(q)
+            t = type(node)
+            if t is Nil or t is Parallel or t is Restriction:
+                # a collapsed choice (P + 0 with P restricted or parallel)
+                # re-enters the region so its restrictions hoist like any
+                # other component's
+                todo.append(node)
+            else:
+                kids.append(node)
+    return chain, kids
 
 
 @lru_cache(maxsize=None)
@@ -412,7 +425,7 @@ def _rename_canonical(p: PiProcess) -> PiProcess:
     counter = itertools.count()
 
     def binder(b: Name, scope: PiProcess, m: dict[Name, Name]) -> Name:
-        return b if free_names(scope) is TOP else Name(f"%{next(counter)}")
+        return b if free_names(scope) is TOP else name(f"%{next(counter)}")
 
     return rename(p, {}, binder)
 

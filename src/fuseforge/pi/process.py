@@ -1,9 +1,8 @@
 """Process terms for the polyadic pi-calculus oracle.
 
-Names are symbols compared by value; a name is either a user-supplied
-channel/value symbol, a fresh name minted for alpha-renaming, or a literal
-carrying a concrete value (literals let the oracle compute numbers, not
-just shapes).
+A name is either a user-supplied channel/value symbol, a fresh name minted
+for alpha-renaming, or a literal carrying a concrete value (literals let
+the oracle compute numbers, not just shapes).
 
 Process variants follow the standard grammar: the inactive process, output
 and input prefixes over polyadic channels, binary choice, binary parallel
@@ -15,13 +14,13 @@ composition, restriction, and replication.  Two artifact extensions:
 * ``ProcessId`` is a named process identifier; the definition is substituted
   lazily during reduction.  Definitions must be communication-guarded.
 
-Process nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
-hash-consing", 2006): building a node looks up its class and fields in a
-table of live nodes and returns the node found there, so structurally equal
-terms are one object.  Equality and hashing are therefore the object
-defaults, identity and address, and memo tables keyed by terms never walk
-them.  The table holds its nodes weakly, so a term nothing else refers to
-is freed as usual.
+Names and process nodes are hash-consed (Filliâtre & Conchon, "Type-safe
+modular hash-consing", 2006): building one looks up its class and fields in
+a table of live names and nodes and returns the object found there, so
+equal names and structurally equal terms are one object.  Equality and
+hashing are therefore the object defaults, identity and address, run in C,
+and memo tables keyed by terms never walk them.  The table holds its
+objects weakly, so a name or term nothing else refers to is freed as usual.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass
 from functools import lru_cache, partial
 
 from ..errors import StructuralError
@@ -37,27 +36,68 @@ from ..errors import StructuralError
 _fresh_counter = itertools.count(1)
 
 
-@dataclass(frozen=True, slots=True)
-class Name:
-    """A channel or value symbol, equal to every name with the same fields.
+# (class, *fields) -> weak reference to the live name or node with them.  A
+# plain dict, because WeakValueDictionary's get and __setitem__ run in Python
+# (a miss raises and catches KeyError) and most nodes the oracle builds are
+# new.
+_NODES: dict[tuple, weakref.ref] = {}
 
+
+def _forget(key, ref) -> None:
+    """Drop a freed object's entry (unless a new one already took its key)."""
+    if _NODES.get(key) is ref:
+        del _NODES[key]
+
+
+class _HashConsed(type):
+    """Builds a name or node only when no live one has its class and fields."""
+
+    def __call__(cls, *args, **kwargs):
+        fields = cls.__match_args__
+        if kwargs or len(args) < len(fields):
+            # keywords and defaults to positions, so every call that gives
+            # the same fields (and dataclasses.replace) finds the same object
+            given = len(args)
+            for f in fields[given:]:
+                if f in kwargs:
+                    args += (kwargs.pop(f),)
+                else:
+                    default = cls.__dataclass_fields__[f].default
+                    if default is MISSING:
+                        break
+                    args += (default,)
+            if kwargs or len(args) < len(fields):
+                return type.__call__(cls, *args[:given], **kwargs)  # the dataclass's TypeError
+        key = (cls, *args)
+        ref = _NODES.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            node = type.__call__(cls, *args)
+            _NODES[key] = weakref.ref(node, partial(_forget, key))
+        return node
+
+
+class _Interned(metaclass=_HashConsed):
+    """Base of the hash-consed classes: a slot for the table's weak reference."""
+
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Name(_Interned):
+    """A channel or value symbol.
+
+    Names are hash-consed like process nodes: every name with the same
+    fields is one object, so ``==`` and ``hash`` are identity and address.
     ``fresh_id`` is set for machine-generated names, which therefore can
     never collide with user symbols of the same text.  ``value`` is set for
-    literal names (concrete data travelling over channels).  The hash is
-    computed once, at construction.
+    literal names (concrete data travelling over channels).
     """
 
     text: str
     fresh_id: int | None = None
     value: object = None
     is_literal: bool = False
-    _hash: int = field(init=False, compare=False, repr=False, default=0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.text, self.fresh_id, self.value, self.is_literal)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         if self.is_literal:
@@ -68,61 +108,29 @@ class Name:
 
 
 def name(text: str) -> Name:
-    return Name(text)
+    return Name(text, None, None, False)
 
 
 def lit(value) -> Name:
     """Literal name carrying a concrete value."""
-    return Name(text=repr(value), value=value, is_literal=True)
+    return Name(repr(value), None, value, True)
 
 
 def fresh(base: str = "ν") -> Name:
-    return Name(text=base, fresh_id=next(_fresh_counter))
+    return Name(base, next(_fresh_counter), None, False)
 
 
-# (class, *fields) -> weak reference to the live node with them.  A plain
-# dict, because WeakValueDictionary's get and __setitem__ run in Python
-# (a miss raises and catches KeyError) and most nodes the oracle builds
-# are new.
-_NODES: dict[tuple, weakref.ref] = {}
-
-
-def _forget(key, ref) -> None:
-    """Drop a freed node's entry (unless a new node already took its key)."""
-    if _NODES.get(key) is ref:
-        del _NODES[key]
-
-
-class _HashConsed(type):
-    """Builds a process node only when no live node has its class and fields."""
-
-    def __call__(cls, *args, **kwargs):
-        if kwargs:
-            # keywords to positions, so keyword calls and dataclasses.replace
-            # find the same node
-            args += tuple(kwargs.pop(f) for f in cls.__match_args__[len(args):] if f in kwargs)
-            if kwargs:
-                return type.__call__(cls, *args, **kwargs)  # the dataclass's TypeError
-        key = (cls, *args)
-        ref = _NODES.get(key)
-        node = None if ref is None else ref()
-        if node is None:
-            node = type.__call__(cls, *args)
-            _NODES[key] = weakref.ref(node, partial(_forget, key))
-        return node
-
-
-class PiProcess(metaclass=_HashConsed):
+class PiProcess(_Interned):
     """Base class of the process variants, which are frozen dataclasses.
 
     Nodes are hash-consed: constructing a node whose class and fields match
     a live node returns that node, so two terms are equal exactly when they
     are the same object, and ``==`` and ``hash`` are identity and address.
-    Field values are compared by value at construction (names by their
-    fields, subprocesses by identity, since they are hash-consed too).
+    Field values are compared by value at construction (names and
+    subprocesses by identity, since they are hash-consed too).
     """
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ()
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -361,34 +369,49 @@ def rename(p: PiProcess, mapping: dict[Name, Name],
         inner.update({b: nb for b, nb in zip(binders, new) if nb is not b})
         return new, inner
 
-    def walk(q: PiProcess, m: dict[Name, Name]) -> PiProcess:
-        if isinstance(q, (Nil, ProcessId)):
-            return q
-        if isinstance(q, OutputPrefix):
-            return OutputPrefix(
-                m.get(q.channel, q.channel),
-                tuple(m.get(n, n) for n in q.payload),
-                walk(q.continuation, m),
-            )
-        if isinstance(q, InputPrefix):
+    # The walk keeps its own stack, so deep terms do not exhaust the
+    # recursion limit.  A task is (subterm, mapping in force) on the way
+    # down, or (node class, its leading fields) to build once the subterms
+    # after those fields are on ``done``.
+    done: list[PiProcess] = []
+    todo: list[tuple] = [(p, dict(mapping))]
+    while todo:
+        q, m = todo.pop()
+        t = type(q)
+        if t is _HashConsed:
+            if q is Parallel or q is Choice:
+                right = done.pop()
+                done[-1] = q(done[-1], right)
+            else:
+                done[-1] = q(*m, done[-1])
+        elif t is OutputPrefix:
+            todo.append((OutputPrefix, (m.get(q.channel, q.channel),
+                                        tuple([m.get(n, n) for n in q.payload]))))
+            todo.append((q.continuation, m))
+        elif t is InputPrefix:
             binders, inner = enter(q.binders, q.continuation, m)
-            return InputPrefix(m.get(q.channel, q.channel), binders, walk(q.continuation, inner))
-        if isinstance(q, Choice):
-            return Choice(walk(q.left, m), walk(q.right, m))
-        if isinstance(q, Parallel):
-            return Parallel(walk(q.left, m), walk(q.right, m))
-        if isinstance(q, Restriction):
+            todo.append((InputPrefix, (m.get(q.channel, q.channel), binders)))
+            todo.append((q.continuation, inner))
+        elif t is Parallel or t is Choice:
+            todo.append((t, ()))
+            todo.append((q.right, m))
+            todo.append((q.left, m))
+        elif t is Restriction:
             (b,), inner = enter((q.name,), q.body, m)
-            return Restriction(b, walk(q.body, inner))
-        if isinstance(q, Replication):
-            return Replication(walk(q.body, m))
-        if isinstance(q, FunctionApply):
+            todo.append((Restriction, (b,)))
+            todo.append((q.body, inner))
+        elif t is Replication:
+            todo.append((Replication, ()))
+            todo.append((q.body, m))
+        elif t is FunctionApply:
             (b,), inner = enter((q.result,), q.continuation, m)
-            return FunctionApply(q.fn, tuple(m.get(n, n) for n in q.args), b,
-                                 walk(q.continuation, inner))
-        raise StructuralError(f"unknown process node {q!r}")
-
-    return walk(p, dict(mapping))
+            todo.append((FunctionApply, (q.fn, tuple([m.get(n, n) for n in q.args]), b)))
+            todo.append((q.continuation, inner))
+        elif t is Nil or t is ProcessId:
+            done.append(q)
+        else:
+            raise StructuralError(f"unknown process node {q!r}")
+    return done[0]
 
 
 def _flatten(p: PiProcess, cls: type) -> list[PiProcess]:

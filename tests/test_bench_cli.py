@@ -272,10 +272,10 @@ def test_cli_entrypoint_oracle_reduce(tmp_path):
 
 
 def test_cli_oracle_reduce_output_does_not_depend_on_hash_seed(tmp_path):
-    """Process terms hash by address and names by string hashes, so an order
-    taken from a set of either would differ between processes; the race of
-    three senders for two receivers prints its six irreducible states in
-    one order under two hash seeds."""
+    """Process terms and names hash by address and strings by the hash seed,
+    so an order taken from a set of any of them would differ between
+    processes; the race of three senders for two receivers prints its six
+    irreducible states in one order under two hash seeds."""
     source = tmp_path / "race.pi"
     source.write_text(
         "(new (c) (par (out c (1) 0) (out c (2) 0) (out c (3) 0)\n"
@@ -293,27 +293,26 @@ def test_cli_oracle_reduce_output_does_not_depend_on_hash_seed(tmp_path):
     assert sum(line.startswith("irreducible") for line in outputs[0]) == 6
 
 
-def oracle_reduce(tmp_path, text: str) -> list[str]:
+def oracle_reduce(tmp_path, capsys, text: str) -> list[str]:
+    """``fuseforge oracle reduce`` on ``text``, run in this process."""
     source = tmp_path / "proc.pi"
     source.write_text(text)
-    proc = subprocess.run(
-        [sys.executable, "-m", "fuseforge.bench", "oracle", "reduce", str(source)],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()
+    code = main(["oracle", "reduce", str(source)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    return captured.out.splitlines()
 
 
 def printed_values(line: str) -> dict:
     return ast.literal_eval(re.search(r"values=(\{.*?\})", line).group(1))
 
 
-def test_cli_oracle_reduce_reports_only_observable_channels(tmp_path):
+def test_cli_oracle_reduce_reports_only_observable_channels(tmp_path, capsys):
     """An unread output on the restricted channel c is not a final value:
     each state of the race reports what o and q received, and nothing for c
     (which canonical renaming prints as %0)."""
     lines = oracle_reduce(
-        tmp_path,
+        tmp_path, capsys,
         "(new (c) (par (out c (1) 0) (out c (2) 0) (out c (3) 0)\n"
         "              (in c (x) (out o (x) 0)) (in c (y) (out q (y) 0))))\n",
     )
@@ -350,10 +349,10 @@ def ring_text(values: list[int], steps: int) -> str:
     return system
 
 
-def test_cli_oracle_reduce_prints_chained_steps(tmp_path):
+def test_cli_oracle_reduce_prints_chained_steps(tmp_path, capsys):
     """Ring 3 x 2 runs as one chain of 24 confluent steps from the start to
     its one final state."""
-    lines = oracle_reduce(tmp_path, ring_text([5, 6, 7], 2))
+    lines = oracle_reduce(tmp_path, capsys, ring_text([5, 6, 7], 2))
     (final,) = [line for line in lines if line.startswith("irreducible")]
     assert "irreducible steps=24 " in final
     # (5, 6, 7) -> (5 + 7, 6 - 5, 7 + 6) = (12, 1, 13) -> (25, -11, 14)
